@@ -14,6 +14,7 @@
 
 #include "common/random.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "cubrick/database.h"
 #include "ingest/parser.h"
 #include "obs/export.h"
@@ -144,6 +145,20 @@ inline cubrick::Query AggregationQuery(bool grouped = true) {
   if (grouped) q.group_by = {0};
   q.aggs = {{AggSpec::Fn::kSum, 0}, {AggSpec::Fn::kCount, 0}};
   return q;
+}
+
+/// The morsel pipeline (PlanMorsels -> ScanMorsels -> MergePartials) over
+/// every brick of `table` at an explicit worker count — the building block
+/// Table::Scan runs per shard at the pool size, pinned here so a bench can
+/// sweep it. The table must be quiescent (no writer) for the call.
+inline QueryResult ScanAtWorkers(Table* table, const aosi::Snapshot& snapshot,
+                                 ScanMode mode, const cubrick::Query& q,
+                                 size_t workers) {
+  std::vector<const Brick*> bricks;
+  table->VisitBricks([&bricks](const Brick& brick) { bricks.push_back(&brick); });
+  return MergePartials(ScanMorsels(PlanMorsels(bricks, q), snapshot, mode, q,
+                                   &ThreadPool::Global(), workers),
+                       q.aggs.size());
 }
 
 /// Headline numbers a driver wants in its baseline file, in print order.

@@ -139,10 +139,11 @@ int main() {
 
   // Morsel-parallel scan sweep: the same SI aggregation over a fixed
   // dataset, fanning bricks out over the shared thread pool at 1/2/4/8
-  // workers per shard. The headline number is the 4-thread speedup over
-  // the serial executor; scripts/check_bench_baseline.py validates the
-  // JSON shape in CI. Speedup tracks the machine's core count — a
-  // single-core container reports ~1.0x by construction.
+  // workers (ScanAtWorkers pins the count Table::Scan takes from the pool
+  // size). The headline number is the 4-thread speedup over one worker;
+  // scripts/check_bench_baseline.py validates the JSON shape in CI.
+  // Speedup tracks the machine's core count — a single-core container
+  // reports ~1.0x by construction.
   {
     Database db;
     CUBRICK_CHECK(CreateSingleColumnCube(&db, "t").ok());
@@ -168,11 +169,11 @@ int main() {
       obs::LatencyRecorder rec;
       for (int i = 0; i < kReps; ++i) {
         Stopwatch timer;
-        const QueryResult result = table->Scan(
-            ro.snapshot(), ScanMode::kSnapshotIsolation, q, nullptr, threads);
+        const QueryResult result = ScanAtWorkers(
+            table, ro.snapshot(), ScanMode::kSnapshotIsolation, q, threads);
         rec.Record(timer.ElapsedMicros());
-        // Parallel merge must reproduce the serial answer exactly (integer
-        // metric values: double sums are exact, order-independent).
+        // Every worker count must reproduce the engine's answer exactly
+        // (the merge folds per-morsel partials in morsel order).
         CUBRICK_CHECK(result.num_groups() == reference.num_groups());
         for (const auto& [key, states] : reference.groups()) {
           CUBRICK_CHECK(result.Value(key, 0, AggSpec::Fn::kSum) ==
@@ -226,9 +227,9 @@ int main() {
       CUBRICK_CHECK(table != nullptr);
       aosi::Txn ro = db.BeginReadOnly();
       const cubrick::Query q = AggregationQuery();
-      const QueryResult reference = table->Scan(
-          ro.snapshot(), ScanMode::kSnapshotIsolation, q, nullptr, 1,
-          /*visibility_cache=*/false);
+      const QueryResult reference =
+          table->Scan(ro.snapshot(), ScanMode::kSnapshotIsolation, q, nullptr,
+                      /*visibility_cache=*/false);
       const auto check_equal = [&reference](const QueryResult& result) {
         CUBRICK_CHECK(result.num_groups() == reference.num_groups());
         for (const auto& [key, states] : reference.groups()) {
@@ -238,32 +239,27 @@ int main() {
                         states[1].Finalize(AggSpec::Fn::kCount));
         }
       };
-      // Warm the cache, then verify a parallel cached scan also reproduces
-      // the uncached serial answer bit-for-bit (integer metrics: double
-      // aggregation is exact, so merge order cannot matter).
-      check_equal(table->Scan(ro.snapshot(), ScanMode::kSnapshotIsolation, q,
-                              nullptr, 1, /*visibility_cache=*/true));
-      check_equal(table->Scan(ro.snapshot(), ScanMode::kSnapshotIsolation, q,
-                              nullptr, 4, /*visibility_cache=*/true));
+      // Warm the cache, then verify a single-worker cached scan also
+      // reproduces the uncached answer bit-for-bit.
+      check_equal(table->Scan(ro.snapshot(), ScanMode::kSnapshotIsolation, q));
+      check_equal(
+          ScanAtWorkers(table, ro.snapshot(), ScanMode::kSnapshotIsolation, q,
+                        1));
 
       obs::LatencyRecorder cached_rec, uncached_rec, ru_rec;
       for (int i = 0; i < kReps; ++i) {
         Stopwatch t1;
         const QueryResult cached =
-            table->Scan(ro.snapshot(), ScanMode::kSnapshotIsolation, q,
-                        nullptr, 1, /*visibility_cache=*/true);
+            table->Scan(ro.snapshot(), ScanMode::kSnapshotIsolation, q);
         cached_rec.Record(t1.ElapsedMicros());
         Stopwatch t2;
         const QueryResult uncached =
             table->Scan(ro.snapshot(), ScanMode::kSnapshotIsolation, q,
-                        nullptr, 1, /*visibility_cache=*/false);
+                        nullptr, /*visibility_cache=*/false);
         uncached_rec.Record(t2.ElapsedMicros());
         Stopwatch t3;
         CUBRICK_CHECK(
-            !table
-                 ->Scan(ro.snapshot(), ScanMode::kReadUncommitted, q, nullptr,
-                        1, /*visibility_cache=*/true)
-                 .empty());
+            !table->Scan(ro.snapshot(), ScanMode::kReadUncommitted, q).empty());
         ru_rec.Record(t3.ElapsedMicros());
         check_equal(cached);
         check_equal(uncached);

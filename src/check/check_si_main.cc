@@ -1,50 +1,36 @@
 // check_si: seeded snapshot-isolation stress runner (see stress.h).
 //
 //   check_si --mode=single|cluster|both --seeds=N --seed0=S --ops=K [-v]
-//            [--parallel=P] [--ingest-parallel=P] [--cache] [--online]
-//            [--purge-stress] [--simd=scalar|avx2|neon|auto]
-//            [--dump-metrics]
+//            [--ingest-parallel=P] [--simd=scalar|avx2|neon|auto]
+//            [--purge-stress] [--online] [--dump-metrics]
 //
 // Runs N seeds starting at S; each seed derives a configuration via
 // MakeSeedConfig and runs the full workload. Exit code 0 when every seed
 // passes; on divergence, prints the replayable diagnostic (config line,
 // seed, per-thread operation trace) and exits 1.
 //
-// --parallel=P runs single-node seeds with the morsel-parallel query
-// executor at fan-out P (DatabaseOptions::query_parallelism); the oracle
-// comparison is unchanged because the workload's metric values are small
-// integers, so aggregation is exact regardless of merge order. Cluster
-// seeds ignore it (cluster tables scan serially).
+// Every scan — single-node and cluster alike — runs the morsel pipeline at
+// fan-out = the pool size with the visibility cache on; its answer is
+// bit-identical at any worker count (DESIGN.md §4b), so scan parallelism
+// needs no flag. The rest of the configuration matrix is drawn per seed by
+// MakeSeedConfig: ingest fan-out and purge stress (single-node) and the
+// SIMD backend (both modes). The failure report's replay line echoes the
+// draw through the override flags below, which pin a value for every seed
+// of a run:
 //
-// --ingest-parallel=P runs single-node seeds with the morsel-parallel
-// ingest pipeline at fan-out P (DatabaseOptions::ingest_parallelism;
-// DESIGN.md §4f). The two-phase dictionary encode makes parallel parse
-// output bit-identical to serial — ids depend only on prior dictionary
-// state plus the set of new strings — so the oracle comparison is
-// unchanged; the flag exists to race snapshot publication, sorted batch
-// inserts and group shard appends against scans, purge and recovery.
-// Cluster seeds ignore it (the coordinator parses serially).
+// --ingest-parallel=P sets the single-node parse/encode fan-out
+// (DatabaseOptions::ingest_parallelism; DESIGN.md §4f). Parse output is
+// bit-identical at any fan-out, so the oracle comparison is unchanged.
 //
-// --cache runs single-node seeds with the per-brick visibility-bitmap
-// cache enabled (DatabaseOptions::query_visibility_cache; DESIGN.md §4c).
-// The cache memoizes exactly the bitmap the uncached path would build, so
-// the oracle comparison is unchanged; the flag exists to drive the cache's
-// atomic publish/lookup/invalidate machinery under the stress mix —
-// combine with --parallel=P so concurrent morsel workers hit the slots.
+// --simd=B forces the scan-kernel SIMD backend (common/simd.h). Kernel
+// results are bit-identical across backends by contract, so the oracle
+// comparison is unchanged.
 //
-// --purge-stress runs single-node seeds with a dedicated purge thread
-// looping the concurrent phased purge pipeline (engine/table.cc) for the
-// whole workload, so compaction installs, vis-cache invalidations and EBR
-// retirement race live scans continuously instead of only at maintenance
-// ops. Purge never touches history above the LSE, so the oracle comparison
-// is unchanged. Combine with --cache --parallel=P --online for the full
-// reclamation surface. Cluster seeds ignore it.
-//
-// --simd=B forces the scan-kernel SIMD backend (common/simd.h) for the
-// whole run. Kernel results are bit-identical across backends by contract,
-// so the oracle comparison is unchanged; the flag exists so CI can prove
-// serial==parallel==cached equivalence under every dispatch target
-// (ctest check_si_single_simd_scalar*).
+// --purge-stress runs a dedicated purge thread looping the concurrent
+// phased purge pipeline (engine/table.cc) through every single-node seed,
+// so compaction installs, vis-cache invalidations and EBR retirement race
+// live scans continuously. Purge never touches history above the LSE, so
+// the oracle comparison is unchanged. Cluster seeds ignore it.
 //
 // --online additionally installs the online SI checker (online_checker.h)
 // for every seed: sampled transactions and scans are validated against the
@@ -55,10 +41,9 @@
 // --dump-metrics prints the Prometheus exposition of the metrics registry
 // after all seeds finish — the stress harness doubles as a concurrent-writer
 // workout for the observability layer, and the dump proves the snapshot
-// stays consistent under it. With --parallel=P > 1 the dump additionally
-// carries the pool.* gauges/counters and the query.worker_scan_us /
-// query.parallel_merge_us histograms, and query.bitmap_density_permille
-// shows up as a histogram (docs/OBSERVABILITY.md).
+// stays consistent under it. The dump carries the pool.* gauges/counters,
+// the query.worker_scan_us / query.parallel_merge_us histograms and the
+// query.vis_cache_* family (docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <cstdio>
@@ -67,7 +52,6 @@
 #include <string>
 
 #include "check/stress.h"
-#include "common/simd.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 
@@ -78,12 +62,10 @@ struct Args {
   uint64_t seeds = 20;
   uint64_t seed0 = 1;
   int ops = 0;  // 0: keep MakeSeedConfig default
-  int parallel = 0;  // 0: keep MakeSeedConfig default (serial)
-  int ingest_parallel = 0;  // 0: keep MakeSeedConfig default (serial)
-  bool cache = false;  // MakeSeedConfig default stays uncached
+  int ingest_parallel = 0;  // 0: keep the per-seed draw
   bool online = false;  // install the online SI checker per seed
-  bool purge_stress = false;  // dedicated concurrent-purge thread per seed
-  std::string simd;  // empty: keep the process default backend
+  bool purge_stress = false;  // force the concurrent-purge thread on
+  std::string simd;  // empty: keep the per-seed draw
   bool verbose = false;
   bool dump_metrics = false;
 };
@@ -109,12 +91,8 @@ Args ParseArgs(int argc, char** argv) {
       args.seed0 = std::strtoull(value, nullptr, 10);
     } else if (ParseFlag(argv[i], "--ops", &value)) {
       args.ops = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--parallel", &value)) {
-      args.parallel = std::atoi(value);
     } else if (ParseFlag(argv[i], "--ingest-parallel", &value)) {
       args.ingest_parallel = std::atoi(value);
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
-      args.cache = true;
     } else if (std::strcmp(argv[i], "--online") == 0) {
       args.online = true;
     } else if (std::strcmp(argv[i], "--purge-stress") == 0) {
@@ -130,9 +108,9 @@ Args ParseArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown argument: %s\n"
                    "usage: check_si [--mode=single|cluster|both] [--seeds=N] "
-                   "[--seed0=S] [--ops=K] [--parallel=P] "
-                   "[--ingest-parallel=P] [--cache] [--online] "
-                   "[--purge-stress] [--simd=B] [-v] [--dump-metrics]\n",
+                   "[--seed0=S] [--ops=K] [--ingest-parallel=P] "
+                   "[--simd=B] [--purge-stress] [--online] [-v] "
+                   "[--dump-metrics]\n",
                    argv[i]);
       std::exit(2);
     }
@@ -151,13 +129,10 @@ bool RunOne(const Args& args, uint64_t seed, bool cluster) {
   cubrick::check::StressOptions opt =
       cubrick::check::MakeSeedConfig(seed, cluster);
   if (args.ops > 0) opt.ops_per_thread = args.ops;
-  if (args.parallel > 0) {
-    opt.query_parallelism = static_cast<size_t>(args.parallel);
-  }
   if (args.ingest_parallel > 0) {
     opt.ingest_parallelism = static_cast<size_t>(args.ingest_parallel);
   }
-  if (args.cache) opt.visibility_cache = true;
+  if (!args.simd.empty()) opt.simd = args.simd;
   if (args.online) opt.online_check = true;
   if (args.purge_stress && !cluster) opt.purge_stress = true;
   const cubrick::check::StressReport report =
@@ -173,8 +148,13 @@ bool RunOne(const Args& args, uint64_t seed, bool cluster) {
     return false;
   }
   if (args.verbose) {
-    std::printf("%s seed %llu ok: %s\n", cluster ? "cluster" : "single",
-                static_cast<unsigned long long>(seed),
+    std::string draw = "simd=" + (opt.simd.empty() ? "default" : opt.simd);
+    if (!cluster) {
+      draw += " ingest_parallel=" + std::to_string(opt.ingest_parallelism) +
+              " purge_stress=" + (opt.purge_stress ? "1" : "0");
+    }
+    std::printf("%s seed %llu ok (%s): %s\n", cluster ? "cluster" : "single",
+                static_cast<unsigned long long>(seed), draw.c_str(),
                 report.Summary().c_str());
   }
   return true;
@@ -184,11 +164,6 @@ bool RunOne(const Args& args, uint64_t seed, bool cluster) {
 
 int main(int argc, char** argv) {
   const Args args = ParseArgs(argc, argv);
-  if (!args.simd.empty()) {
-    cubrick::simd::ConfigureFromString(args.simd.c_str());
-    std::printf("[check_si] simd backend: %s\n",
-                cubrick::simd::ActiveBackendName());
-  }
   const bool run_single = args.mode == "single" || args.mode == "both";
   const bool run_cluster = args.mode == "cluster" || args.mode == "both";
   uint64_t passed = 0;

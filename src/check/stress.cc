@@ -16,8 +16,8 @@
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "cubrick/database.h"
-#include "obs/metrics.h"
 #include "query/executor.h"
 
 namespace cubrick::check {
@@ -660,6 +660,17 @@ class Worker {
   std::vector<std::string> trace_;
 };
 
+/// Installs the run's SIMD backend process-wide; empty restores the
+/// process default, so a seed never inherits the previous seed's draw.
+void InstallSimdBackend(const std::string& name) {
+  static const simd::Backend process_default = simd::Active();
+  if (name.empty()) {
+    simd::SetBackend(process_default);
+  } else {
+    simd::ConfigureFromString(name.c_str());
+  }
+}
+
 std::string ConfigLine(const StressOptions& opt, bool cluster) {
   std::ostringstream out;
   out << "config: mode=" << (cluster ? "cluster" : "single")
@@ -668,31 +679,22 @@ std::string ConfigLine(const StressOptions& opt, bool cluster) {
       << " threaded=" << opt.threaded_shards
       << " rollback_index=" << opt.rollback_index
       << " persist=" << opt.with_persistence
-      << " online=" << opt.online_check;
-  if (!cluster) {
-    out << " parallel=" << opt.query_parallelism
-        << " ingest_parallel=" << opt.ingest_parallelism
-        << " cache=" << opt.visibility_cache
-        << " purge_stress=" << opt.purge_stress;
-  }
+      << " online=" << opt.online_check
+      << " simd=" << (opt.simd.empty() ? "default" : opt.simd);
   if (cluster) {
     out << " nodes=" << opt.num_nodes << " rf=" << opt.replication_factor
         << " latency_us=" << opt.message_latency_us;
+  } else {
+    out << " ingest_parallel=" << opt.ingest_parallelism
+        << " purge_stress=" << opt.purge_stress;
   }
   out << "\nreplay: check_si --mode=" << (cluster ? "cluster" : "single")
       << " --seed0=" << opt.seed << " --seeds=1 --ops="
       << opt.ops_per_thread;
-  if (!cluster && opt.query_parallelism > 1) {
-    out << " --parallel=" << opt.query_parallelism;
-  }
-  if (!cluster && opt.ingest_parallelism > 1) {
+  if (!opt.simd.empty()) out << " --simd=" << opt.simd;
+  if (!cluster) {
     out << " --ingest-parallel=" << opt.ingest_parallelism;
-  }
-  if (!cluster && opt.visibility_cache) {
-    out << " --cache";
-  }
-  if (!cluster && opt.purge_stress) {
-    out << " --purge-stress";
+    if (opt.purge_stress) out << " --purge-stress";
   }
   if (opt.online_check) {
     out << " --online";
@@ -814,6 +816,16 @@ StressOptions MakeSeedConfig(uint64_t seed, bool cluster) {
     opt.replication_factor = 1 + seed % 2;
     opt.message_latency_us = seed % 7 == 0 ? 20 : 0;
   }
+  // Feature draws come from a mixed copy of the seed, so they vary
+  // independently of the residues above and of each other.
+  uint64_t state = seed;
+  const uint64_t mix = SplitMix64(state);
+  if (mix % 3 == 0) opt.simd = "scalar";
+  if (!cluster) {
+    constexpr size_t kIngestFanOuts[] = {1, 2, 4};
+    opt.ingest_parallelism = kIngestFanOuts[(mix >> 8) % 3];
+    opt.purge_stress = (mix >> 16) % 4 == 0;
+  }
   return opt;
 }
 
@@ -825,9 +837,7 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
   db_options.shards_per_cube = opt.shards_per_cube;
   db_options.threaded_shards = opt.threaded_shards;
   db_options.rollback_index = opt.rollback_index;
-  db_options.query_parallelism = opt.query_parallelism;
   db_options.ingest_parallelism = opt.ingest_parallelism;
-  db_options.query_visibility_cache = opt.visibility_cache;
   db_options.online_check = opt.online_check;
   if (opt.with_persistence) {
     fs::remove_all(dir);
@@ -835,6 +845,7 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
     db_options.data_dir = dir.string();
   }
 
+  InstallSimdBackend(opt.simd);
   auto db = std::make_unique<Database>(db_options);
   Status created =
       db->CreateCube(kCube, StressDimensions(), StressMetrics());
@@ -880,19 +891,6 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
     stop_purge.store(true, std::memory_order_release);
     purge_thread.join();
     report.purge_rounds += purge_rounds_run;
-  }
-
-  // PR 8 acceptance: with EBR retirement the vis cache has no retired
-  // backlog, so Publish can never have declined, in this or any prior
-  // seed (the registry is process-global and the counter only ever moves
-  // if the decline path resurfaces).
-  const uint64_t declined = obs::MetricsRegistry::Global()
-                                .GetCounter("query.vis_cache_publish_declined")
-                                ->Value();
-  if (declined != 0) {
-    report.failures.push_back(
-        config + "\nvis-cache Publish declined " + std::to_string(declined) +
-        " time(s); EBR retirement must make Publish unconditional");
   }
 
   // Epilogue 1: quiescent full-cube validation at the final LCE.
@@ -957,6 +955,7 @@ StressReport RunClusterStress(const StressOptions& opt) {
     cluster_options.data_dir = dir.string();
   }
 
+  InstallSimdBackend(opt.simd);
   cluster::Cluster cluster(cluster_options);
   Status created =
       cluster.CreateCube(kCube, StressDimensions(), StressMetrics());

@@ -49,32 +49,23 @@ struct StressOptions {
   /// Enables checkpoint operations in the mix plus a crash/recovery epilogue
   /// validated against the oracle.
   bool with_persistence = false;
-  /// Morsel-parallel query executor fan-out per shard (single-node mode;
-  /// see DatabaseOptions::query_parallelism). 1 keeps the serial executor.
-  /// MakeSeedConfig never raises this — replay determinism stays pinned to
-  /// the serial path — so parallel runs are opted into via check_si
-  /// --parallel=N. Safe to diff against the oracle either way: workload
-  /// metric values are small integers, so double aggregation is exact and
-  /// merge order cannot change any query result.
-  size_t query_parallelism = 1;
-  /// Morsel-parallel ingest pipeline fan-out (single-node mode; see
-  /// DatabaseOptions::ingest_parallelism). 1 keeps the serial parse path.
-  /// MakeSeedConfig never raises this — replay determinism stays pinned to
-  /// the serial path — so parallel runs are opted into via check_si
-  /// --ingest-parallel=N. Safe to diff against the oracle either way:
-  /// the two-phase dictionary encode makes parallel parse output
-  /// bit-identical to serial (DESIGN.md §4f), so what the flag adds is
-  /// coverage of snapshot publication, sorted batch inserts and group
-  /// shard appends racing scans, purge and recovery.
+  /// Morsel-parallel ingest fan-out (single-node mode; see
+  /// DatabaseOptions::ingest_parallelism). Drawn per seed by
+  /// MakeSeedConfig. Safe to diff against the oracle at any value: parse
+  /// output is bit-identical at every fan-out (DESIGN.md §4f), so what the
+  /// draw adds is coverage of snapshot publication, sorted batch inserts
+  /// and group shard appends racing scans, purge and recovery. Queries need
+  /// no draw: every scan fans out over the whole pool with the visibility
+  /// cache on, and its result is bit-identical at any worker count
+  /// (DESIGN.md §4b).
   size_t ingest_parallelism = 1;
-  /// Per-brick visibility-bitmap cache (single-node mode; see
-  /// DatabaseOptions::query_visibility_cache). Off by default so seed
-  /// replays keep exercising the uncached build path; check_si --cache
-  /// opts in. The cache cannot change any query result — it memoizes the
-  /// exact bitmap the uncached path would build — so the oracle comparison
-  /// is unchanged; what the flag adds is coverage of the cache's
-  /// lookup/publish/invalidate machinery under a concurrent workload.
-  bool visibility_cache = false;
+  /// Scan-kernel SIMD backend for the run: a common/simd.h name such as
+  /// "scalar", or empty for the process default (CUBRICK_SIMD, else the
+  /// best native backend). Drawn per seed and installed process-wide for
+  /// the seed — kernel results are bit-identical across backends
+  /// (DESIGN.md §4e), so the oracle diff passing under both is an
+  /// end-to-end equivalence proof.
+  std::string simd;
   /// Installs the online SI checker (online_checker.h) for the duration of
   /// the run — single-node via DatabaseOptions::online_check, cluster via a
   /// harness-owned checker spanning workload and epilogues. Any violation
@@ -84,12 +75,11 @@ struct StressOptions {
   /// Runs a dedicated purge thread for the whole workload (single-node
   /// mode): it loops LSE advance + Database::PurgeAll() — the concurrent
   /// phased pipeline (engine/table.cc) — under the shared structure lock
-  /// while workers append, delete and scan. Off by default; check_si
-  /// --purge-stress opts in. Purge only compacts history at or below the
-  /// LSE, which every live snapshot is at or past, so the oracle
-  /// comparison is unchanged; what the flag adds is scans racing
-  /// compaction installs, vis-cache invalidation and EBR retirement of
-  /// displaced history vectors (ctest check_si_single_purge_concurrent).
+  /// while workers append, delete and scan. Drawn per seed. Purge only
+  /// compacts history at or below the LSE, which every live snapshot is at
+  /// or past, so the oracle comparison is unchanged; what the draw adds is
+  /// scans racing compaction installs, vis-cache invalidation and EBR
+  /// retirement of displaced history vectors.
   bool purge_stress = false;
   /// Cluster mode only.
   uint32_t num_nodes = 3;
@@ -122,7 +112,9 @@ struct StressReport {
 
 /// Derives a varied configuration from `seed` — shard count, threaded vs
 /// inline shards, rollback index, persistence, replication factor, simulated
-/// latency — so a seed sweep covers the configuration matrix.
+/// latency, ingest fan-out, SIMD backend, purge stress — so a seed sweep
+/// covers the configuration matrix. The config line of a failure report
+/// records every draw, and its replay command reproduces them.
 StressOptions MakeSeedConfig(uint64_t seed, bool cluster);
 
 /// Runs the workload against cubrick::Database (with a crash+Recover()

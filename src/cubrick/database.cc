@@ -214,9 +214,7 @@ Result<QueryResult> Database::QueryIn(const aosi::Txn& txn,
   if (table == nullptr) {
     return Status::NotFound("cube '" + cube + "' does not exist");
   }
-  return table->Scan(txn.snapshot(), mode, query, nullptr,
-                     options_.query_parallelism,
-                     options_.query_visibility_cache);
+  return table->Scan(txn.snapshot(), mode, query);
 }
 
 Status Database::DeletePartitionsIn(const aosi::Txn& txn,
@@ -240,9 +238,8 @@ Result<std::vector<MaterializedRow>> Database::Select(
     return Status::NotFound("cube '" + cube + "' does not exist");
   }
   aosi::Txn txn = txns_.BeginReadOnly();
-  auto rows =
-      table->Materialize(txn.snapshot(), ScanMode::kSnapshotIsolation, query,
-                         options, options_.query_visibility_cache);
+  auto rows = table->Materialize(txn.snapshot(), ScanMode::kSnapshotIsolation,
+                                 query, options);
   txns_.EndReadOnly(txn);
   return rows;
 }

@@ -21,6 +21,7 @@
 #include "aosi/txn_manager.h"
 #include "check/online_checker.h"
 #include "common/mutex.h"
+#include "common/thread_pool.h"
 #include "cubrick/ddl.h"
 #include "engine/table.h"
 #include "ingest/parser.h"
@@ -39,22 +40,13 @@ struct DatabaseOptions {
   bool rollback_index = false;
   /// Pins shard threads to CPUs (§V-B NUMA locality; threaded mode only).
   bool pin_shard_threads = false;
-  /// Morsel-parallel query execution: maximum concurrent scan workers per
-  /// shard (bricks fanned out on ThreadPool::Global(); see Table::Scan).
-  /// 1 (the default) keeps the serial executor — the deterministic path the
-  /// src/check/ harness replays by default.
-  size_t query_parallelism = 1;
   /// Morsel-parallel ingestion (DESIGN.md §4f): maximum parse/encode
   /// workers per load request (record morsels fanned out on
-  /// ThreadPool::Global(); see ParseRecords). Output is bit-identical to
-  /// the serial walk at any setting; 1 (the default) keeps the serial
-  /// path that src/check/ replays by default.
-  size_t ingest_parallelism = 1;
-  /// Per-brick visibility-bitmap cache (DESIGN.md §4c): memoizes §III-C3
-  /// bitmaps keyed on (epochs-vector version, effective horizon, deps).
-  /// Results are identical either way; the src/check/ harness keeps it off
-  /// by default for seed-replay stability and opts in via --cache.
-  bool query_visibility_cache = true;
+  /// ThreadPool::Global(); see ParseRecords). Output is bit-identical at
+  /// any setting; the default is the pool size. Queries need no such
+  /// setting: every scan fans out over the whole pool (Table::Scan) and
+  /// always uses the per-brick visibility-bitmap cache (DESIGN.md §4c).
+  size_t ingest_parallelism = ThreadPool::Global().num_threads();
   /// Period of the background flush/purge thread; 0 disables it. Requires
   /// data_dir.
   int64_t auto_checkpoint_interval_ms = 0;

@@ -184,44 +184,35 @@ void Table::MarkDeleted(aosi::Epoch epoch,
 QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
                         const Query& query,
                         const std::function<bool(Bid)>& brick_filter,
-                        size_t parallelism, bool visibility_cache) {
+                        bool visibility_cache) {
   static obs::Counter* scans =
       obs::MetricsRegistry::Global().GetCounter("query.scans_total");
   static obs::Histogram* latency =
       obs::MetricsRegistry::Global().GetHistogram("query.latency_us");
   scans->Add();
   obs::ObsSpan span("query.scan", latency);
-  const size_t fan_out = parallelism == 0 ? 1 : parallelism;
+  ThreadPool& pool = ThreadPool::Global();
   std::vector<QueryResult> partials(shards_.size(),
                                     QueryResult(query.aggs.size()));
   std::vector<std::future<void>> done;
   for (size_t s = 0; s < shards_.size(); ++s) {
     QueryResult* out = &partials[s];
     done.push_back(shards_[s]->Enqueue([&snapshot, mode, &query, out,
-                                        &brick_filter, fan_out,
+                                        &brick_filter, &pool,
                                         visibility_cache](BrickMap& bricks) {
-      if (fan_out <= 1) {
-        // Serial path, unchanged: scan in BrickMap order on the shard's
-        // own thread.
-        bricks.ForEach([&](Brick& brick) {
-          if (brick_filter && !brick_filter(brick.bid())) return;
-          ScanBrick(brick, snapshot, mode, query, out, visibility_cache);
-        });
-        return;
-      }
-      // Morsel-parallel path: fanning out *inside* the shard op keeps the
-      // shard blocked here until every worker finished, so pool workers
-      // read its bricks while the single-writer invariant still holds.
+      // Fanning out *inside* the shard op keeps the shard blocked here
+      // until every worker finished, so pool workers read its bricks while
+      // the single-writer invariant still holds.
       std::vector<const Brick*> candidates;
       bricks.ForEach([&](const Brick& brick) {
         if (brick_filter && !brick_filter(brick.bid())) return;
         candidates.push_back(&brick);
       });
       auto morsels = PlanMorsels(candidates, query);
-      auto worker_partials =
-          ScanMorsels(morsels, snapshot, mode, query, &ThreadPool::Global(),
-                      fan_out, visibility_cache);
-      *out = MergePartials(std::move(worker_partials), query.aggs.size());
+      auto morsel_partials =
+          ScanMorsels(morsels, snapshot, mode, query, &pool,
+                      pool.num_threads(), visibility_cache);
+      *out = MergePartials(std::move(morsel_partials), query.aggs.size());
     }));
   }
   for (auto& f : done) f.get();

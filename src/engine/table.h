@@ -115,23 +115,22 @@ class Table {
   /// uses it to scan only bricks this node primarily owns, so replicated
   /// bricks are not double-counted.
   ///
-  /// `parallelism` > 1 enables the morsel-parallel executor: inside each
-  /// shard operation the shard's bricks are fanned out as tasks on
-  /// ThreadPool::Global() (up to `parallelism` concurrent workers including
-  /// the shard's own thread), each worker scans into a thread-local partial
-  /// and the partials are merged before the shard op returns. The shard
-  /// stays blocked in its own op for the whole fan-out, so the
-  /// single-writer invariant holds: nothing can mutate its bricks while
-  /// pool workers read them. The default (1) is the serial path — bit-for-
-  /// bit the previous behavior — which `src/check/` keeps for deterministic
-  /// replay (see DESIGN.md, "Serial vs parallel determinism policy").
+  /// Inside each shard operation the shard's bricks run through the morsel
+  /// pipeline (PlanMorsels -> ScanMorsels -> MergePartials) on
+  /// ThreadPool::Global() at fan-out = the pool size, the shard's own
+  /// thread included. The shard stays blocked in its own op for the whole
+  /// fan-out, so the single-writer invariant holds: nothing can mutate its
+  /// bricks while pool workers read them. Partials merge in morsel order
+  /// and shard results in shard order, so the answer is bit-identical at
+  /// any pool size (DESIGN.md §4b).
   ///
-  /// `visibility_cache` enables each brick's visibility-bitmap cache
-  /// (DESIGN.md §4c); results are identical with it on or off.
+  /// `visibility_cache` switches each brick's visibility-bitmap cache
+  /// (DESIGN.md §4c); results are identical with it on or off. Only the
+  /// fig9 cached-vs-uncached ablation and tests turn it off.
   QueryResult Scan(const aosi::Snapshot& snapshot, ScanMode mode,
                    const Query& query,
                    const std::function<bool(Bid)>& brick_filter = nullptr,
-                   size_t parallelism = 1, bool visibility_cache = true);
+                   bool visibility_cache = true);
 
   /// EXPLAIN: reports how many bricks the filters prune without scanning —
   /// the indexed-access property of granular partitioning.

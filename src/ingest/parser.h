@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "engine/table.h"
 #include "storage/data_type.h"
 #include "storage/schema.h"
@@ -54,14 +55,15 @@ struct ParseOutput {
 /// only on the dictionaries' prior state and the set of new strings —
 /// never on record order within the batch or on `parallelism`.
 ///
-/// `parallelism` > 1 chunks the record vector into morsels fanned out on
-/// ThreadPool::Global() (the caller participates while waiting). Output is
-/// bit-identical to the serial walk: batches, rejection counts and
-/// retained error strings are merged in morsel (= record) order.
-Result<ParseOutput> ParseRecords(const CubeSchema& schema,
-                                 const std::vector<Record>& records,
-                                 const ParseOptions& options = {},
-                                 size_t parallelism = 1);
+/// `parallelism` > 1 (by default the pool size) chunks the record vector
+/// into morsels fanned out on ThreadPool::Global() (the caller participates
+/// while waiting). Output is bit-identical at any fan-out: batches,
+/// rejection counts and retained error strings are merged in morsel
+/// (= record) order.
+Result<ParseOutput> ParseRecords(
+    const CubeSchema& schema, const std::vector<Record>& records,
+    const ParseOptions& options = {},
+    size_t parallelism = ThreadPool::Global().num_threads());
 
 /// Parses one comma-separated line into a Record using the schema's column
 /// types (no quoting/escaping: this is the test/example loader, not an RFC

@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
@@ -34,8 +35,6 @@ struct ScanInstruments {
   obs::Counter* vis_cache_hits;
   obs::Counter* vis_cache_misses;
   obs::Counter* vis_cache_evictions;
-  obs::Counter* vis_cache_bypass;
-  obs::Counter* vis_cache_publish_declined;
   obs::Counter* kernel_words_scanned;
   obs::Counter* kernel_words_skipped;
   obs::Counter* kernel_words_dense;
@@ -61,8 +60,6 @@ const ScanInstruments& Instruments() {
         reg.GetCounter("query.vis_cache_hits"),
         reg.GetCounter("query.vis_cache_misses"),
         reg.GetCounter("query.vis_cache_evictions"),
-        reg.GetCounter("query.vis_cache_bypass"),
-        reg.GetCounter("query.vis_cache_publish_declined"),
         reg.GetCounter("query.kernel_words_scanned"),
         reg.GetCounter("query.kernel_words_skipped"),
         reg.GetCounter("query.kernel_words_dense"),
@@ -199,13 +196,7 @@ VisibilityRef VisibilityForScan(const Brick& brick,
                     : aosi::BuildVisibilityBitmap(brick.history(), snapshot);
   const auto outcome = cache.Publish(key, &built);
   if (outcome.evicted) ins.vis_cache_evictions->Add();
-  if (outcome.published != nullptr) return VisibilityRef(outcome.published);
-  // Decline path. With EBR retirement Publish never declines — this branch
-  // is kept (and counted) so check_si can assert the backlog cliff stayed
-  // gone rather than silently reappearing.
-  ins.vis_cache_publish_declined->Add();
-  ins.vis_cache_bypass->Add();
-  return VisibilityRef(std::move(built));
+  return VisibilityRef(outcome.published);
 }
 
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
@@ -512,38 +503,38 @@ std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
                                      ThreadPool* pool, size_t parallelism,
                                      bool use_cache) {
   const ScanInstruments& ins = Instruments();
-  size_t workers = parallelism == 0 ? 1 : parallelism;
-  if (workers > morsels.size()) {
-    workers = morsels.empty() ? 1 : morsels.size();
-  }
-  std::vector<QueryResult> partials(workers, QueryResult(query.aggs.size()));
-  if (morsels.empty()) return partials;
+  // One slot per morsel: which worker scans a brick never shows in the
+  // result, because MergePartials folds the slots in morsel order.
+  std::vector<QueryResult> partials(morsels.size(),
+                                    QueryResult(query.aggs.size()));
+  const size_t workers = std::min(std::max<size_t>(parallelism, 1),
+                                  std::max<size_t>(morsels.size(), 1));
   if (workers == 1 || pool == nullptr) {
-    for (const Brick* brick : morsels) {
-      ScanBrick(*brick, snapshot, mode, query, &partials[0], use_cache);
+    for (size_t i = 0; i < morsels.size(); ++i) {
+      ScanBrick(*morsels[i], snapshot, mode, query, &partials[i], use_cache);
     }
     return partials;
   }
 
   std::atomic<size_t> next{0};
-  auto scan_worker = [&](size_t w) {
+  auto scan_worker = [&] {
     obs::ObsSpan span("query.worker_scan", ins.worker_scan_us);
-    QueryResult* out = &partials[w];
     while (true) {
       // The brick data itself was published to the pool threads by the
-      // task-handoff mutexes in ThreadPool::Submit/PopTask.
+      // task-handoff mutexes in ThreadPool::Submit/PopTask, and the slots
+      // back to the caller by TaskGroup::Wait.
       // relaxed: the ticket only partitions disjoint morsels; no data rides on it
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= morsels.size()) break;
-      ScanBrick(*morsels[i], snapshot, mode, query, out, use_cache);
+      ScanBrick(*morsels[i], snapshot, mode, query, &partials[i], use_cache);
     }
   };
 
   TaskGroup group(pool);
   for (size_t w = 1; w < workers; ++w) {
-    group.Run([&scan_worker, w] { scan_worker(w); });
+    group.Run(scan_worker);
   }
-  scan_worker(0);  // the calling thread is always worker 0
+  scan_worker();  // the calling thread is always a worker
   group.Wait();
   return partials;
 }

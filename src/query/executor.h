@@ -33,9 +33,9 @@ bool BrickIntersectsFilters(const Brick& brick, const Query& query);
 bool BrickCoveredByFilters(const Brick& brick, const Query& query);
 
 /// A visibility bitmap for one brick scan: either borrowed from the brick's
-/// cache (valid until the brick's next mutation, i.e. for the whole scan op
-/// — see vis_cache.h) or owned because the cache missed and declined to
-/// store. Scan code treats both uniformly and read-only.
+/// cache (valid while the scan's ebr::Guard is alive — see vis_cache.h) or
+/// owned when the scan runs uncached. Scan code treats both uniformly and
+/// read-only.
 class VisibilityRef {
  public:
   explicit VisibilityRef(const Bitmap* borrowed) : ptr_(borrowed) {}
@@ -71,36 +71,38 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result,
                bool use_cache = true);
 
-// --- Morsel-parallel scan pipeline (plan -> scan -> merge) -----------------
+// --- Morsel scan pipeline (plan -> scan -> merge) ---------------------------
 //
 // Bricks are the natural morsel unit (granular partitioning already sizes
 // them, cf. morsel-driven parallelism, Leis et al. SIGMOD 2014). The three
-// steps below are what Table::Scan composes when its parallelism knob is
-// > 1; each is independently testable. No shared mutable state exists
-// inside the row loops: every worker scans into its own partial
-// QueryResult, and only the final merge combines group-by maps.
+// steps below are what every Table::Scan shard op composes; each is
+// independently testable. No shared mutable state exists inside the row
+// loops: every morsel is scanned into its own partial QueryResult, and the
+// merge folds the partials in morsel order, so the result is bit-identical
+// at any worker count (DESIGN.md §4b).
 
 /// Plan step: the subset of `candidates` that needs row work, in input
 /// order. Bricks pruned here (empty, or ranges disjoint from the filters)
-/// are tallied into query.bricks_pruned exactly as the serial path does.
+/// are tallied into query.bricks_pruned exactly as ScanBrick does.
 std::vector<const Brick*> PlanMorsels(
     const std::vector<const Brick*>& candidates, const Query& query);
 
 /// Scan step: fans `morsels` out over `pool` with up to `parallelism`
 /// concurrent workers — the calling thread always participates, so
 /// `parallelism - 1` pool tasks are spawned — and returns one partial
-/// result per worker. Workers claim morsels from a shared atomic ticket,
-/// so skew (one dense brick) cannot idle the rest of the crew. With
-/// `parallelism <= 1` or a null pool this degenerates to a serial loop on
-/// the calling thread.
+/// result per morsel, in morsel order. Workers claim morsels from a shared
+/// atomic ticket, so skew (one dense brick) cannot idle the rest of the
+/// crew. The worker count is clamped to the morsel count; with one worker
+/// or a null pool the morsels are scanned inline on the calling thread.
 std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
                                      const aosi::Snapshot& snapshot,
                                      ScanMode mode, const Query& query,
                                      ThreadPool* pool, size_t parallelism,
                                      bool use_cache = true);
 
-/// Merge step: folds the worker partials into one result, recording the
-/// fold's duration into query.parallel_merge_us.
+/// Merge step: folds the per-morsel partials into one result in their
+/// vector (morsel) order, recording the fold's duration into
+/// query.parallel_merge_us.
 QueryResult MergePartials(std::vector<QueryResult> partials, size_t num_aggs);
 
 /// EXPLAIN-style account of how granular partitioning served a query.

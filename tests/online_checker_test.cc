@@ -376,9 +376,6 @@ TEST(OnlineCheckerFaultInjectionTest, SkipFirstDepFaultIsDetected) {
   FaultGuard guard;
   DatabaseOptions opt;
   opt.online_check = true;
-  // The visibility cache keys on (history version, horizon, deps) — not on
-  // the fault knob — so a cached pre-fault bitmap would mask the fault.
-  opt.query_visibility_cache = false;
   Database db(opt);
   ASSERT_TRUE(db.CreateCube("t", {{"d", 4, 1, false}},
                             {{"v", DataType::kInt64}})
@@ -391,10 +388,19 @@ TEST(OnlineCheckerFaultInjectionTest, SkipFirstDepFaultIsDetected) {
   ASSERT_TRUE(db.LoadIn(pending, "t", Rows(&rng, 32)).ok());
   aosi::Txn reader = db.Begin();
   ASSERT_TRUE(reader.deps.Contains(pending.epoch));
+  // The visibility cache keys on (history version, horizon, deps) — not on
+  // the fault knob — so a cached pre-fault bitmap would mask the fault:
+  // scan through the table's uncached seam.
+  Table* table = db.FindTable("t");
+  ASSERT_NE(table, nullptr);
+  const auto scan_uncached = [&] {
+    return table->Scan(reader.snapshot(), ScanMode::kSnapshotIsolation,
+                       SumQuery(), nullptr, /*visibility_cache=*/false);
+  };
 
   // Control: with the visibility computation intact, the sampled scan
   // validates clean.
-  ASSERT_TRUE(db.QueryIn(reader, "t", SumQuery()).ok());
+  (void)scan_uncached();
   db.online_checker()->DrainForTest();
   EXPECT_EQ(db.online_checker()->ViolationCount(), 0u);
 
@@ -402,7 +408,7 @@ TEST(OnlineCheckerFaultInjectionTest, SkipFirstDepFaultIsDetected) {
   // is exactly a stale read of pending's uncommitted rows. Detection is
   // immediate — the very next sampled scan of the corrupted brick.
   aosi::SetSkipFirstDepFault(true);
-  ASSERT_TRUE(db.QueryIn(reader, "t", SumQuery()).ok());
+  (void)scan_uncached();
   aosi::SetSkipFirstDepFault(false);
   db.online_checker()->DrainForTest();
   ASSERT_GT(db.online_checker()->ViolationCount(), 0u);
@@ -417,50 +423,52 @@ TEST(OnlineCheckerFaultInjectionTest, SkipFirstDepFaultIsDetected) {
   ASSERT_TRUE(db.Commit(reader).ok());
 }
 
-// Serial, morsel-parallel and cached execution must agree with the checker
+// Uncached, cached and single-worker execution must agree with the checker
 // observing every scan — and the checker must stay silent on all three.
 TEST(OnlineCheckerEquivalenceTest, SerialParallelCachedAgreeUnderChecker) {
-  auto run = [](size_t parallelism, bool cache) {
-    DatabaseOptions opt;
-    opt.online_check = true;
-    opt.query_parallelism = parallelism;
-    opt.query_visibility_cache = cache;
-    Database db(opt);
-    EXPECT_TRUE(db.CreateCube("t", {{"d", 4, 1, false}},
-                              {{"v", DataType::kInt64}})
-                    .ok());
-    Random rng(7);
-    for (int batch = 0; batch < 8; ++batch) {
-      EXPECT_TRUE(db.Load("t", Rows(&rng, 32)).ok());
-    }
-    auto result = db.Query("t", SumQuery());
-    EXPECT_TRUE(result.ok());
-    // Query twice so the cached flavor actually hits its cache.
-    auto again = db.Query("t", SumQuery());
-    EXPECT_TRUE(again.ok());
-    db.online_checker()->DrainForTest();
-    EXPECT_EQ(db.online_checker()->ViolationCount(), 0u);
-    return result->groups();
-  };
-  // One checker (one Database with online_check) at a time: the hook slot
-  // is process-global, so the flavors run sequentially.
-  const auto serial = run(1, false);
-  const auto parallel = run(4, false);
-  const auto cached = run(1, true);
-  ASSERT_EQ(serial.size(), parallel.size());
-  ASSERT_EQ(serial.size(), cached.size());
-  for (const auto& [key, states] : serial) {
-    auto pit = parallel.find(key);
-    auto cit = cached.find(key);
-    ASSERT_NE(pit, parallel.end());
-    ASSERT_NE(cit, cached.end());
-    ASSERT_EQ(states.size(), pit->second.size());
-    ASSERT_EQ(states.size(), cit->second.size());
-    for (size_t a = 0; a < states.size(); ++a) {
-      EXPECT_EQ(states[a].sum, pit->second[a].sum);
-      EXPECT_EQ(states[a].sum, cit->second[a].sum);
-      EXPECT_EQ(states[a].count, pit->second[a].count);
-      EXPECT_EQ(states[a].count, cit->second[a].count);
+  DatabaseOptions opt;
+  opt.online_check = true;
+  Database db(opt);
+  ASSERT_TRUE(db.CreateCube("t", {{"d", 4, 1, false}},
+                            {{"v", DataType::kInt64}})
+                  .ok());
+  Random rng(7);
+  for (int batch = 0; batch < 8; ++batch) {
+    ASSERT_TRUE(db.Load("t", Rows(&rng, 32)).ok());
+  }
+  Table* table = db.FindTable("t");
+  ASSERT_NE(table, nullptr);
+  const cubrick::Query q = SumQuery();
+  aosi::Txn ro = db.BeginReadOnly();
+  const aosi::Snapshot snap = ro.snapshot();
+  // Uncached first, so the cached scans below start cold; query the cache
+  // twice so the second pass actually hits it.
+  const QueryResult uncached =
+      table->Scan(snap, ScanMode::kSnapshotIsolation, q, nullptr,
+                  /*visibility_cache=*/false);
+  const QueryResult cached = table->Scan(snap, ScanMode::kSnapshotIsolation, q);
+  const QueryResult warm = table->Scan(snap, ScanMode::kSnapshotIsolation, q);
+  std::vector<const Brick*> bricks;
+  table->VisitBricks([&bricks](const Brick& b) { bricks.push_back(&b); });
+  const QueryResult serial = MergePartials(
+      ScanMorsels(PlanMorsels(bricks, q), snap, ScanMode::kSnapshotIsolation,
+                  q, nullptr, 1, /*use_cache=*/false),
+      q.aggs.size());
+  db.txns().EndReadOnly(ro);
+  db.online_checker()->DrainForTest();
+  EXPECT_EQ(db.online_checker()->ViolationCount(), 0u);
+
+  ASSERT_GT(uncached.num_groups(), 0u);
+  for (const QueryResult* other : {&cached, &warm, &serial}) {
+    ASSERT_EQ(uncached.num_groups(), other->num_groups());
+    for (const auto& [key, states] : uncached.groups()) {
+      auto it = other->groups().find(key);
+      ASSERT_NE(it, other->groups().end());
+      ASSERT_EQ(states.size(), it->second.size());
+      for (size_t a = 0; a < states.size(); ++a) {
+        EXPECT_EQ(states[a].sum, it->second[a].sum);
+        EXPECT_EQ(states[a].count, it->second[a].count);
+      }
     }
   }
 }
@@ -471,7 +479,6 @@ TEST(OnlineCheckerEquivalenceTest, SerialParallelCachedAgreeUnderChecker) {
 TEST(OnlineCheckerHammerTest, ConcurrentLoadsAndQueriesStayClean) {
   DatabaseOptions opt;
   opt.online_check = true;
-  opt.query_parallelism = 4;
   Database db(opt);
   ASSERT_TRUE(db.CreateCube("t", {{"d", 4, 1, false}},
                             {{"v", DataType::kInt64}})

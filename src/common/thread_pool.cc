@@ -84,8 +84,6 @@ bool ThreadPool::RunOneFrom(size_t home) {
   return true;
 }
 
-bool ThreadPool::TryRunOne() { return RunOneFrom(/*home=*/0); }
-
 void ThreadPool::WorkerLoop(size_t index) {
   while (true) {
     if (RunOneFrom(index)) continue;
@@ -109,32 +107,42 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
+TaskGroup::TaskGroup(ThreadPool* pool)
+    : pool_(pool), state_(std::make_shared<State>()) {}
+
+bool TaskGroup::RunNext(State& state) {
+  std::function<void()> fn;
+  {
+    MutexLock lock(state.mu);
+    if (state.unclaimed.empty()) return false;
+    fn = std::move(state.unclaimed.front());
+    state.unclaimed.pop_front();
+  }
+  fn();
+  MutexLock lock(state.mu);
+  --state.pending;
+  if (state.pending == 0) state.done_cv.NotifyAll();
+  return true;
+}
+
 void TaskGroup::Run(std::function<void()> fn) {
   {
-    MutexLock lock(mu_);
-    ++pending_;
+    MutexLock lock(state_->mu);
+    state_->unclaimed.push_back(std::move(fn));
+    ++state_->pending;
   }
-  pool_->Submit([this, fn = std::move(fn)] {
-    fn();
-    MutexLock lock(mu_);
-    --pending_;
-    if (pending_ == 0) done_cv_.NotifyAll();
-  });
+  pool_->Submit([state = state_] { RunNext(*state); });
 }
 
 void TaskGroup::Wait() {
-  // Caller participation: execute queued tasks (this group's or anyone's)
-  // until the pool runs dry or our batch completes, then block.
-  while (true) {
-    {
-      MutexLock lock(mu_);
-      if (pending_ == 0) return;
-    }
-    if (!pool_->TryRunOne()) break;
+  // Caller participation, own group only: a waiter never picks up another
+  // group's work (a loader waiting on its parse morsels must not run a
+  // concurrent scan), and never needs to, since it can run its whole batch.
+  while (RunNext(*state_)) {
   }
-  MutexLock lock(mu_);
-  while (pending_ > 0) {
-    done_cv_.Wait(lock);
+  MutexLock lock(state_->mu);
+  while (state_->pending > 0) {
+    state_->done_cv.Wait(lock);
   }
 }
 

@@ -12,10 +12,14 @@
 //    is a guarded count of queued tasks which Submit() increments *after*
 //    publishing the task and while holding the sleep mutex, so a Submit()
 //    racing with a worker going to sleep can never lose the wakeup.
-//  * TaskGroup tracks one fan-out. Wait() first lends the calling thread to
-//    the pool (running queued tasks) and only then blocks, so a scan fanned
-//    out from inside a shard operation makes progress even when every pool
-//    worker is busy with other groups — no nested-fan-out deadlock.
+//  * TaskGroup tracks one fan-out in a queue of its own. Each Run() posts
+//    one pool task that claims the group's next unclaimed closure, and
+//    Wait() first runs the group's unclaimed closures on the calling thread
+//    and only then blocks. A waiter can always finish its batch alone, so a
+//    scan fanned out from inside a shard operation makes progress even when
+//    every pool worker is busy with other groups — no nested-fan-out
+//    deadlock — and it never runs another group's work while its own batch
+//    is pending.
 //
 // Instrumented per docs/OBSERVABILITY.md: pool.queue_depth (gauge),
 // pool.tasks_total and pool.steals_total (counters).
@@ -55,11 +59,6 @@ class ThreadPool {
   /// Enqueues a task. Thread-safe; never blocks on task execution.
   void Submit(std::function<void()> task);
 
-  /// Runs one queued task (any worker's) on the calling thread. Returns
-  /// false when every deque is empty. Lets non-pool threads lend a hand —
-  /// see TaskGroup::Wait.
-  bool TryRunOne();
-
   size_t num_threads() const { return threads_.size(); }
 
   /// The process-wide pool, sized to the hardware concurrency. Created on
@@ -96,29 +95,41 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// Tracks one batch of tasks submitted to a pool; Wait() returns once all
-/// of them have finished. The group must outlive its tasks: Wait() (also
-/// called by the destructor) guarantees that.
+/// Tracks one batch of tasks run on a pool; Wait() returns once all of them
+/// have finished. The closures sit in the group's own queue: the pool task
+/// each Run() posts claims whichever closure is next, and finds none (and
+/// returns) when the waiter already ran them all. That queue is shared with
+/// the posted tasks, so it outlives the group; the closures themselves all
+/// finish before Wait() (also called by the destructor) returns.
 class TaskGroup {
  public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
+  explicit TaskGroup(ThreadPool* pool);
   ~TaskGroup() { Wait(); }
 
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Submits `fn` to the pool as part of this group.
+  /// Queues `fn` in this group and posts one pool task to claim it.
   void Run(std::function<void()> fn);
 
-  /// Blocks until every Run() task has finished, executing queued pool
-  /// tasks on the calling thread while it waits (caller participation).
+  /// Runs this group's unclaimed closures on the calling thread, then
+  /// blocks until the ones pool workers claimed have finished too.
   void Wait();
 
  private:
+  struct State {
+    Mutex mu;
+    CondVar done_cv;
+    std::deque<std::function<void()>> unclaimed GUARDED_BY(mu);
+    /// Closures queued or running; Wait's predicate.
+    size_t pending GUARDED_BY(mu) = 0;
+  };
+
+  /// Claims and runs `state`'s next closure; false when none is unclaimed.
+  static bool RunNext(State& state);
+
   ThreadPool* pool_;
-  Mutex mu_;
-  CondVar done_cv_;
-  size_t pending_ GUARDED_BY(mu_) = 0;
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace cubrick

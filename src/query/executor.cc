@@ -76,21 +76,14 @@ const ScanInstruments& Instruments() {
 /// zero), so dense fast paths never read past num_records.
 constexpr uint64_t kDenseWord = ~0ULL;
 
-/// One aggregate's metric read path, resolved once per brick. The ungrouped
-/// fold pass branches on is_count/is_double once per WORD and then reads the
-/// typed pointer directly (the per-word typed kernels); Fetch's per-row
-/// dispatch only remains on the grouped path, where group-key derivation
-/// interleaves with every value read anyway.
+/// One aggregate's metric read path, resolved once per brick. Both fold
+/// passes branch on is_count/is_double once per WORD and then read the
+/// typed pointer directly, never once per row.
 struct MetricAccessor {
   bool is_count = false;
   bool is_double = false;
   const int64_t* ints = nullptr;
   const double* doubles = nullptr;
-
-  double Fetch(size_t row) const {
-    if (is_count) return 1.0;
-    return is_double ? doubles[row] : static_cast<double>(ints[row]);
-  }
 };
 
 std::vector<MetricAccessor> ResolveAccessors(const Brick& brick,
@@ -122,6 +115,152 @@ void BrickDimBounds(const Brick& brick, size_t dim, uint64_t* lo,
   const uint64_t max_coord = def.cardinality - 1;
   *hi = end < max_coord ? end : max_coord;
 }
+
+/// The grouped fold's per-brick slot table: one slot per distinct tuple of
+/// the group-by dimensions' in-brick offsets (what BessColumn stores,
+/// coord - BrickDimBounds lo), each slot holding one AggState per agg.
+///
+/// Slots live densely in first-seen order; an open-addressed index of
+/// power-of-two capacity maps a tuple's packed key to its slot. The packed
+/// key reads the tuple mixed-radix over the dimensions' in-brick spans. It
+/// identifies the tuple unless the spans' product overflows 64 bits; then
+/// it wraps into a mere hash and slots also compare the whole tuple. When
+/// the product is small next to the rows to fold, the index covers it and
+/// probes by identity, so no two tuples ever collide; otherwise it hashes
+/// the packed key (Fibonacci) and doubles at half load. Memory is therefore
+/// O(min(span product, visible rows)) whatever the dimensions' widths.
+class GroupSlotTable {
+ public:
+  /// Rows per call of FindSlots: one bitmap word.
+  static constexpr size_t kMaxRows = 64;
+
+  /// `spans[g]` is group dimension g's in-brick span; `max_rows` bounds the
+  /// number of rows (hence distinct tuples) the brick will fold.
+  GroupSlotTable(const std::vector<uint64_t>& spans, size_t num_aggs,
+                 uint64_t max_rows)
+      : num_dims_(spans.size()), num_aggs_(num_aggs), strides_(num_dims_) {
+    uint64_t product = 1;
+    bool overflow = false;
+    for (size_t g = 0; g < num_dims_; ++g) {
+      strides_[g] = product;
+      overflow |= __builtin_mul_overflow(product, spans[g], &product);
+    }
+    exact_ = !overflow;
+    direct_ = exact_ && product <= std::max<uint64_t>(kMinHashedCapacity,
+                                                      2 * max_rows);
+    size_t capacity = direct_ ? 1 : kMinHashedCapacity;
+    while (direct_ && capacity < product) capacity *= 2;
+    Rebuild(capacity);
+  }
+
+  /// Writes the slots of `n` <= kMaxRows rows to `slot_of`, claiming a slot
+  /// with fresh AggStates on a tuple's first row. `offsets[g * kMaxRows +
+  /// i]` is group dimension g's offset for row i.
+  void FindSlots(const uint64_t* offsets, size_t n, uint32_t* slot_of) {
+    Reserve(n);
+    uint64_t packed[kMaxRows] = {};
+    for (size_t g = 0; g < num_dims_; ++g) {
+      for (size_t i = 0; i < n; ++i) {
+        packed[i] += offsets[g * kMaxRows + i] * strides_[g];
+      }
+    }
+    for (size_t i = 0; i < n; ++i) slot_of[i] = Find(packed[i], offsets + i);
+  }
+
+  size_t num_slots() const { return num_slots_; }
+  const uint64_t* key(uint32_t slot) const {
+    return keys_.data() + size_t{slot} * num_dims_;
+  }
+  /// Slot `slot`'s states, one per agg. Valid until the next FindSlots.
+  AggState* states(uint32_t slot) {
+    return states_.data() + size_t{slot} * num_aggs_;
+  }
+
+ private:
+  /// Smallest hashed index: one word's rows fit at half load.
+  static constexpr uint64_t kMinHashedCapacity = 2 * kMaxRows;
+  static constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
+
+  /// Makes room for `rows` more tuples before a word's lookups, so the index
+  /// never grows halfway through a word. A no-op on an identity index,
+  /// which already has a position for every possible tuple.
+  void Reserve(size_t rows) {
+    if (direct_ || 2 * (num_slots_ + rows) <= index_.size()) return;
+    size_t capacity = index_.size();
+    while (2 * (num_slots_ + rows) > capacity) capacity *= 2;
+    Rebuild(capacity);
+  }
+
+  /// `row_offsets[g * kMaxRows]` is the row's offset in group dimension g.
+  uint32_t Find(uint64_t packed, const uint64_t* row_offsets) {
+    for (size_t pos = Position(packed);; pos = (pos + 1) & mask_) {
+      const uint32_t entry = index_[pos];
+      if (entry == 0) return Claim(pos, packed, row_offsets);
+      const uint32_t slot = entry - 1;
+      if (packed_[slot] == packed &&
+          (exact_ || SameTuple(key(slot), row_offsets))) {
+        return slot;
+      }
+    }
+  }
+
+  bool SameTuple(const uint64_t* key, const uint64_t* row_offsets) const {
+    for (size_t g = 0; g < num_dims_; ++g) {
+      if (key[g] != row_offsets[g * kMaxRows]) return false;
+    }
+    return true;
+  }
+
+  /// Identity index: mult 1, shift 0 (packed < capacity). Hashed index:
+  /// the top log2(capacity) bits of packed * 2^64/phi.
+  size_t Position(uint64_t packed) const {
+    return static_cast<size_t>((packed * mult_) >> shift_);
+  }
+
+  uint32_t Claim(size_t pos, uint64_t packed, const uint64_t* row_offsets) {
+    CUBRICK_CHECK(num_slots_ < UINT32_MAX);
+    const auto slot = static_cast<uint32_t>(num_slots_++);
+    index_[pos] = slot + 1;
+    packed_.push_back(packed);
+    for (size_t g = 0; g < num_dims_; ++g) {
+      keys_.push_back(row_offsets[g * kMaxRows]);
+    }
+    states_.resize(states_.size() + num_aggs_);
+    return slot;
+  }
+
+  void Rebuild(size_t capacity) {
+    index_.assign(capacity, 0);
+    mask_ = capacity - 1;
+    mult_ = direct_ ? 1 : kFibonacci;
+    shift_ = direct_ ? 0
+                     : 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+    for (uint32_t slot = 0; slot < num_slots_; ++slot) {
+      size_t pos = Position(packed_[slot]);
+      while (index_[pos] != 0) pos = (pos + 1) & mask_;
+      index_[pos] = slot + 1;
+    }
+  }
+
+  size_t num_dims_;
+  size_t num_aggs_;
+  /// Mixed-radix place values of the group dimensions (wrapping).
+  std::vector<uint64_t> strides_;
+  /// The packed key identifies the tuple (the spans' product fits).
+  bool exact_ = false;
+  bool direct_ = false;
+  uint64_t mult_ = 1;
+  unsigned shift_ = 0;
+  size_t mask_ = 0;
+  size_t num_slots_ = 0;
+  /// `capacity` entries: 0 = empty, else slot + 1.
+  std::vector<uint32_t> index_;
+  /// Per slot: its packed key, its tuple (num_dims offsets) and its states
+  /// (num_aggs), slot-major.
+  std::vector<uint64_t> packed_;
+  std::vector<uint64_t> keys_;
+  std::vector<AggState> states_;
+};
 
 }  // namespace
 
@@ -414,52 +553,99 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
       if (need_values) ++(simd_active ? words_simd : words_fallback);
     }
     if (rows_aggregated > 0) {
-      result->MergeGroup(QueryResult::GroupKey(), locals);
+      result->MergeGroup(QueryResult::GroupKey(), locals.data());
     }
   } else {
-    // Grouped path: per-row accumulation with current-group memoization —
-    // granular partitioning clusters group-by coordinates, so consecutive
-    // rows usually share a key and skip the map walk. Dense words take a
-    // straight 64-row loop (no ctz chain); sparse words enumerate set bits.
-    // Always a per-row scalar path (group keys interleave with values), so
-    // every word here counts as kernel_simd_fallback.
-    QueryResult::GroupKey key(query.group_by.size());
-    QueryResult::GroupKey prev_key;
-    std::vector<AggState>* states = nullptr;
-    const auto accumulate_row = [&](size_t row) {
-      for (size_t g = 0; g < query.group_by.size(); ++g) {
-        key[g] = brick.DimCoord(row, query.group_by[g]);
-      }
-      if (states == nullptr || key != prev_key) {
-        states = result->GroupStates(key);
-        prev_key = key;
-      }
-      for (size_t a = 0; a < accessors.size(); ++a) {
-        (*states)[a].Accumulate(accessors[a].Fetch(row));
-      }
-    };
+    // Grouped path: fold each row into its slot of a per-brick GroupSlotTable
+    // keyed by the group dimensions' in-brick offsets, then merge each used
+    // slot into `result` once. Per word, the slots are found first (dense
+    // words bulk-decode 64 offsets per group dimension; sparse words
+    // ctz-enumerate their rows), then each aggregate folds the word's rows
+    // into their slots in row order, with the is_count/is_double dispatch
+    // once per word. Every slot starts from a fresh AggState, so the result
+    // equals a per-row fold into an empty group (the pinned row order). The
+    // fold is scalar, so every word here counts as kernel_simd_fallback.
+    const size_t num_dims = query.group_by.size();
+    const size_t num_aggs = accessors.size();
+    std::vector<uint64_t> lo(num_dims);
+    std::vector<uint64_t> spans(num_dims);
+    for (size_t g = 0; g < num_dims; ++g) {
+      uint64_t hi = 0;
+      BrickDimBounds(brick, query.group_by[g], &lo[g], &hi);
+      spans[g] = hi - lo[g] + 1;
+    }
+    GroupSlotTable table(spans, num_aggs, mask->CountSet());
+    const BessColumn& bess = brick.bess();
+    std::vector<uint64_t> offsets(num_dims * 64);
+    uint32_t slot_of[64];
+    size_t rows[64];
+    double vals[64];
     for (size_t w = 0; w < num_words; ++w) {
-      uint64_t bits = mask->Word(w);
-      if (bits == 0) {
+      const uint64_t word = mask->Word(w);
+      if (word == 0) {
         ++words_skipped;
         continue;
       }
-      const size_t base = w * 64;
       ++words_fallback;
-      if (bits == kDenseWord) {
+      const size_t base = w * 64;
+      const bool dense = word == kDenseWord;
+      size_t n = 0;
+      if (dense) {
         ++words_dense;
-        rows_aggregated += 64;
-        for (size_t b = 0; b < 64; ++b) {
-          accumulate_row(base + b);
+        n = 64;
+        for (size_t g = 0; g < num_dims; ++g) {
+          bess.DecodeDim(base, 64, query.group_by[g], &offsets[g * 64]);
         }
-        continue;
+      } else {
+        uint64_t bits = word;
+        while (bits != 0) {
+          const size_t b = static_cast<size_t>(__builtin_ctzll(bits));
+          bits &= bits - 1;
+          rows[n++] = base + b;
+        }
+        for (size_t g = 0; g < num_dims; ++g) {
+          for (size_t i = 0; i < n; ++i) {
+            offsets[g * 64 + i] = bess.Get(rows[i], query.group_by[g]);
+          }
+        }
       }
-      while (bits != 0) {
-        const size_t b = static_cast<size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        ++rows_aggregated;
-        accumulate_row(base + b);
+      rows_aggregated += n;
+      table.FindSlots(offsets.data(), n, slot_of);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        const MetricAccessor& acc = accessors[a];
+        const double* v = vals;
+        if (acc.is_count) {
+          std::fill(vals, vals + n, 1.0);
+        } else if (acc.is_double && dense) {
+          v = acc.doubles + base;
+        } else if (acc.is_double) {
+          for (size_t i = 0; i < n; ++i) vals[i] = acc.doubles[rows[i]];
+        } else if (dense) {
+          for (size_t i = 0; i < 64; ++i) {
+            vals[i] = static_cast<double>(acc.ints[base + i]);
+          }
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            vals[i] = static_cast<double>(acc.ints[rows[i]]);
+          }
+        }
+        // Runs of rows sharing a slot fold in a register copy of its state;
+        // the adds are the same, in the same order, as folding in place.
+        for (size_t i = 0; i < n;) {
+          const uint32_t slot = slot_of[i];
+          AggState& dst = table.states(slot)[a];
+          AggState st = dst;
+          do {
+            st.Accumulate(v[i++]);
+          } while (i < n && slot_of[i] == slot);
+          dst = st;
+        }
       }
+    }
+    QueryResult::GroupKey key(num_dims);
+    for (uint32_t slot = 0; slot < table.num_slots(); ++slot) {
+      for (size_t g = 0; g < num_dims; ++g) key[g] = lo[g] + table.key(slot)[g];
+      result->MergeGroup(key, table.states(slot));
     }
   }
   agg_span.Finish();

@@ -164,19 +164,10 @@ class QueryResult {
     states[agg_idx].Accumulate(value);
   }
 
-  /// Stable pointer to group `key`'s per-agg states, creating the group if
-  /// absent. The pointer survives later insertions (std::map nodes do not
-  /// move), which is what lets scan kernels memoize the current group
-  /// across consecutive rows instead of re-walking the map per row.
-  std::vector<AggState>* GroupStates(const GroupKey& key) {
-    auto& states = groups_[key];
-    if (states.empty()) states.resize(num_aggs_);
-    return &states;
-  }
-
-  /// Folds fully-accumulated `states` into group `key` — the ungrouped scan
-  /// fast path accumulates a whole brick into locals and merges once.
-  void MergeGroup(const GroupKey& key, const std::vector<AggState>& states) {
+  /// Folds fully-accumulated `states` (one per agg) into group `key` — the
+  /// scan kernels accumulate a whole brick into local states and merge
+  /// each group once at the brick's end.
+  void MergeGroup(const GroupKey& key, const AggState* states) {
     auto& dst = groups_[key];
     if (dst.empty()) dst.resize(num_aggs_);
     for (size_t a = 0; a < num_aggs_; ++a) dst[a].Merge(states[a]);

@@ -128,8 +128,8 @@ void BM_ScanCC_AOSI_Bitmap(benchmark::State& state) {
       // walk of the set bits.
       Bitmap visible =
           aosi::BuildVisibilityBitmap(brick.history(), reader.snapshot());
-      const auto& ints = brick.metric(0).ints();
-      visible.ForEachSet([&](size_t row) { sum += ints[row]; });
+      const IntColumnView ints = brick.metric(0).ints();
+      visible.ForEachSet([&](size_t row) { sum += ints.Get(row); });
     });
     benchmark::DoNotOptimize(sum);
     tm.EndReadOnly(reader);

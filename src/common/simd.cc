@@ -68,6 +68,42 @@ void FoldInt64Scalar(const int64_t* v, size_t n, uint64_t* sum, int64_t* min,
   *max = hi;
 }
 
+template <typename T>
+void FoldIntRunScalarT(const T* v, size_t k, uint64_t* word_sums,
+                       int64_t* min, int64_t* max) {
+  T lo = std::numeric_limits<T>::max();
+  T hi = std::numeric_limits<T>::min();
+  for (size_t w = 0; w < k; ++w, v += 64) {
+    uint64_t s = 0;
+    for (size_t i = 0; i < 64; ++i) {
+      s += static_cast<uint64_t>(static_cast<int64_t>(v[i]));  // wrapping
+      lo = v[i] < lo ? v[i] : lo;
+      hi = v[i] > hi ? v[i] : hi;
+    }
+    word_sums[w] = s;
+  }
+  *min = lo;
+  *max = hi;
+}
+
+void FoldIntRunScalar(const void* v, unsigned width, size_t k,
+                      uint64_t* word_sums, int64_t* min, int64_t* max) {
+  switch (width) {
+    case 1:
+      return FoldIntRunScalarT(static_cast<const int8_t*>(v), k, word_sums,
+                               min, max);
+    case 2:
+      return FoldIntRunScalarT(static_cast<const int16_t*>(v), k, word_sums,
+                               min, max);
+    case 4:
+      return FoldIntRunScalarT(static_cast<const int32_t*>(v), k, word_sums,
+                               min, max);
+    default:
+      return FoldIntRunScalarT(static_cast<const int64_t*>(v), k, word_sums,
+                               min, max);
+  }
+}
+
 // The pinned fold-order contract (simd.h): four lane accumulators, word sum
 // (l0+l2)+(l1+l3), sequential tail, MINPD/MAXPD(v, acc) step semantics.
 void FoldDoubleScalar(const double* v, size_t n, double* sum, double* min,
@@ -131,8 +167,9 @@ size_t CountBitsScalar(const uint64_t* words, size_t n) {
 }
 
 constexpr Kernels kScalarKernels = {
-    Backend::kScalar, FilterEqScalar,   FilterRangeScalar, FilterInScalar,
-    FoldInt64Scalar,  FoldDoubleScalar, AndWordsScalar,    OrWordsScalar,
+    Backend::kScalar,  FilterEqScalar,   FilterRangeScalar,
+    FilterInScalar,    FoldInt64Scalar,  FoldIntRunScalar,
+    FoldDoubleScalar,  AndWordsScalar,   OrWordsScalar,
     AndNotWordsScalar, CountBitsScalar,
 };
 
@@ -228,6 +265,172 @@ __attribute__((target("avx2"))) void FoldInt64Avx2(const int64_t* v, size_t n,
   *sum = s_out;
   *min = lo_out;
   *max = hi_out;
+}
+
+// Sum of the four uint64 lanes (wrapping).
+__attribute__((target("avx2"))) inline uint64_t SumLanes64(__m256i s) {
+  __m128i t = _mm_add_epi64(_mm256_castsi256_si128(s),
+                            _mm256_extracti128_si256(s, 1));
+  t = _mm_add_epi64(t, _mm_unpackhi_epi64(t, t));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(t));
+}
+
+// Run min/max: one store of the lane accumulators and one scalar pass per
+// run, not per word.
+template <typename T>
+__attribute__((target("avx2"))) inline void ReduceMinMax(__m256i lo,
+                                                         __m256i hi,
+                                                         int64_t* min,
+                                                         int64_t* max) {
+  T lo_lanes[32 / sizeof(T)], hi_lanes[32 / sizeof(T)];
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lo_lanes), lo);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(hi_lanes), hi);
+  T lo_out = lo_lanes[0], hi_out = hi_lanes[0];
+  for (size_t l = 1; l < 32 / sizeof(T); ++l) {
+    lo_out = lo_lanes[l] < lo_out ? lo_lanes[l] : lo_out;
+    hi_out = hi_lanes[l] > hi_out ? hi_lanes[l] : hi_out;
+  }
+  *min = lo_out;
+  *max = hi_out;
+}
+
+// Width 1: a word is two vectors. Biasing each byte by 128 (xor 0x80) makes
+// it unsigned, so SAD against zero sums eight bytes per uint64 lane; the
+// word sum is the lanes' total minus 64 * 128.
+__attribute__((target("avx2"))) void FoldIntRun8Avx2(const int8_t* v,
+                                                     size_t k,
+                                                     uint64_t* word_sums,
+                                                     int64_t* min,
+                                                     int64_t* max) {
+  const __m256i bias = _mm256_set1_epi8(-128);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i lo = _mm256_set1_epi8(127);
+  __m256i hi = _mm256_set1_epi8(-128);
+  for (size_t w = 0; w < k; ++w, v += 64) {
+    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + 32));
+    lo = _mm256_min_epi8(lo, _mm256_min_epi8(a, b));
+    hi = _mm256_max_epi8(hi, _mm256_max_epi8(a, b));
+    const __m256i s =
+        _mm256_add_epi64(_mm256_sad_epu8(_mm256_xor_si256(a, bias), zero),
+                         _mm256_sad_epu8(_mm256_xor_si256(b, bias), zero));
+    word_sums[w] = SumLanes64(s) - 64 * 128;
+  }
+  ReduceMinMax<int8_t>(lo, hi, min, max);
+}
+
+// Width 2: a word is four vectors. madd against ones sums adjacent pairs
+// into int32 lanes; a lane holds at most 8 values, far inside int32.
+__attribute__((target("avx2"))) void FoldIntRun16Avx2(const int16_t* v,
+                                                      size_t k,
+                                                      uint64_t* word_sums,
+                                                      int64_t* min,
+                                                      int64_t* max) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i lo = _mm256_set1_epi16(std::numeric_limits<int16_t>::max());
+  __m256i hi = _mm256_set1_epi16(std::numeric_limits<int16_t>::min());
+  for (size_t w = 0; w < k; ++w, v += 64) {
+    __m256i s = _mm256_setzero_si256();
+    for (size_t i = 0; i < 64; i += 16) {
+      const __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
+      lo = _mm256_min_epi16(lo, x);
+      hi = _mm256_max_epi16(hi, x);
+      s = _mm256_add_epi32(s, _mm256_madd_epi16(x, ones));
+    }
+    __m128i t = _mm_add_epi32(_mm256_castsi256_si128(s),
+                              _mm256_extracti128_si256(s, 1));
+    t = _mm_add_epi32(t, _mm_shuffle_epi32(t, 0x4e));
+    t = _mm_add_epi32(t, _mm_shuffle_epi32(t, 0xb1));
+    word_sums[w] = static_cast<uint64_t>(
+        static_cast<int64_t>(_mm_cvtsi128_si32(t)));
+  }
+  ReduceMinMax<int16_t>(lo, hi, min, max);
+}
+
+// Width 4: a word is eight vectors. Biasing by 2^31 (xor the sign bit)
+// makes each value unsigned, so its low and high uint32 halves of every
+// uint64 lane add exactly in uint64 lanes; the word sum is the total
+// minus 64 * 2^31.
+__attribute__((target("avx2"))) void FoldIntRun32Avx2(const int32_t* v,
+                                                      size_t k,
+                                                      uint64_t* word_sums,
+                                                      int64_t* min,
+                                                      int64_t* max) {
+  const __m256i bias = _mm256_set1_epi32(std::numeric_limits<int32_t>::min());
+  const __m256i low32 = _mm256_set1_epi64x(0xffffffffLL);
+  __m256i lo = _mm256_set1_epi32(std::numeric_limits<int32_t>::max());
+  __m256i hi = _mm256_set1_epi32(std::numeric_limits<int32_t>::min());
+  for (size_t w = 0; w < k; ++w, v += 64) {
+    __m256i s_even = _mm256_setzero_si256();
+    __m256i s_odd = _mm256_setzero_si256();
+    for (size_t i = 0; i < 64; i += 8) {
+      const __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
+      lo = _mm256_min_epi32(lo, x);
+      hi = _mm256_max_epi32(hi, x);
+      const __m256i u = _mm256_xor_si256(x, bias);
+      s_even = _mm256_add_epi64(s_even, _mm256_and_si256(u, low32));
+      s_odd = _mm256_add_epi64(s_odd, _mm256_srli_epi64(u, 32));
+    }
+    word_sums[w] = SumLanes64(_mm256_add_epi64(s_even, s_odd)) -
+                   (uint64_t{64} << 31);
+  }
+  ReduceMinMax<int32_t>(lo, hi, min, max);
+}
+
+// Width 8: compare+blend min/max (AVX2 has no 64-bit min/max), two lane
+// accumulator pairs to halve the blend dependency chain, reduced per run.
+__attribute__((target("avx2"))) void FoldIntRun64Avx2(const int64_t* v,
+                                                      size_t k,
+                                                      uint64_t* word_sums,
+                                                      int64_t* min,
+                                                      int64_t* max) {
+  __m256i lo0 = _mm256_set1_epi64x(std::numeric_limits<int64_t>::max());
+  __m256i hi0 = _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
+  __m256i lo1 = lo0, hi1 = hi0;
+  for (size_t w = 0; w < k; ++w, v += 64) {
+    __m256i s0 = _mm256_setzero_si256();
+    __m256i s1 = _mm256_setzero_si256();
+    for (size_t i = 0; i < 64; i += 8) {
+      const __m256i a =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
+      const __m256i b =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i + 4));
+      s0 = _mm256_add_epi64(s0, a);
+      s1 = _mm256_add_epi64(s1, b);
+      lo0 = _mm256_blendv_epi8(lo0, a, _mm256_cmpgt_epi64(lo0, a));
+      lo1 = _mm256_blendv_epi8(lo1, b, _mm256_cmpgt_epi64(lo1, b));
+      hi0 = _mm256_blendv_epi8(hi0, a, _mm256_cmpgt_epi64(a, hi0));
+      hi1 = _mm256_blendv_epi8(hi1, b, _mm256_cmpgt_epi64(b, hi1));
+    }
+    word_sums[w] = SumLanes64(_mm256_add_epi64(s0, s1));
+  }
+  const __m256i lo = _mm256_blendv_epi8(lo0, lo1, _mm256_cmpgt_epi64(lo0, lo1));
+  const __m256i hi = _mm256_blendv_epi8(hi0, hi1, _mm256_cmpgt_epi64(hi1, hi0));
+  ReduceMinMax<int64_t>(lo, hi, min, max);
+}
+
+__attribute__((target("avx2"))) void FoldIntRunAvx2(const void* v,
+                                                    unsigned width, size_t k,
+                                                    uint64_t* word_sums,
+                                                    int64_t* min,
+                                                    int64_t* max) {
+  switch (width) {
+    case 1:
+      return FoldIntRun8Avx2(static_cast<const int8_t*>(v), k, word_sums, min,
+                             max);
+    case 2:
+      return FoldIntRun16Avx2(static_cast<const int16_t*>(v), k, word_sums,
+                              min, max);
+    case 4:
+      return FoldIntRun32Avx2(static_cast<const int32_t*>(v), k, word_sums,
+                              min, max);
+    default:
+      return FoldIntRun64Avx2(static_cast<const int64_t*>(v), k, word_sums,
+                              min, max);
+  }
 }
 
 __attribute__((target("avx2"))) void FoldDoubleAvx2(const double* v, size_t n,
@@ -348,8 +551,8 @@ __attribute__((target("avx2"))) size_t CountBitsAvx2(const uint64_t* words,
 
 constexpr Kernels kAvx2Kernels = {
     Backend::kAvx2,  FilterEqAvx2,   FilterRangeAvx2, FilterInAvx2,
-    FoldInt64Avx2,   FoldDoubleAvx2, AndWordsAvx2,    OrWordsAvx2,
-    AndNotWordsAvx2, CountBitsAvx2,
+    FoldInt64Avx2,   FoldIntRunAvx2, FoldDoubleAvx2,  AndWordsAvx2,
+    OrWordsAvx2,     AndNotWordsAvx2, CountBitsAvx2,
 };
 
 #endif  // CUBRICK_SIMD_HAVE_AVX2
@@ -518,10 +721,12 @@ size_t CountBitsNeon(const uint64_t* words, size_t n) {
   return count;
 }
 
+// The run kernel has no NEON version yet: the table points at the scalar
+// reference (DESIGN.md §4e).
 constexpr Kernels kNeonKernels = {
-    Backend::kNeon,  FilterEqNeon,   FilterRangeNeon, FilterInNeon,
-    FoldInt64Neon,   FoldDoubleNeon, AndWordsNeon,    OrWordsNeon,
-    AndNotWordsNeon, CountBitsNeon,
+    Backend::kNeon,  FilterEqNeon,     FilterRangeNeon, FilterInNeon,
+    FoldInt64Neon,   FoldIntRunScalar, FoldDoubleNeon,  AndWordsNeon,
+    OrWordsNeon,     AndNotWordsNeon,  CountBitsNeon,
 };
 
 #endif  // CUBRICK_SIMD_HAVE_NEON

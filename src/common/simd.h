@@ -25,10 +25,11 @@
 // documented fold order, pinned by the differential tests in
 // tests/simd_kernel_test.cc:
 //
-//   * FoldInt64: the word sum is accumulated in wrapping two's-complement
-//     uint64 arithmetic — associative and commutative, hence exactly equal
-//     in any order — and converted to double ONCE per word by the caller.
-//     min/max over int64 are order-insensitive. (Semantics note: when a
+//   * FoldInt64 / FoldIntRun: the word sum is accumulated in wrapping
+//     two's-complement uint64 arithmetic — associative and commutative,
+//     hence exactly equal in any order and at any stored width — and
+//     converted to double ONCE per word by the caller. min/max over int64
+//     are order-insensitive, so the run kernel reduces them once per run. (Semantics note: when a
 //     word's true sum exceeds int64 range it wraps identically on every
 //     backend; the old row-at-a-time double fold would instead have lost
 //     precision past 2^53. All repo workloads stay far below both limits.)
@@ -44,9 +45,11 @@
 // order contract beyond "same bits".
 //
 // Blind spots (documented, DESIGN.md §4e): no AVX-512 or SVE backends; the
-// dispatch is process-global (per-query backend mixing is not supported —
-// results are bit-identical across backends, so mixing could never change
-// an answer, only confuse perf attribution).
+// NEON table's fold_int_run is the scalar reference (no aarch64 toolchain
+// to build or test a NEON version with); the dispatch is process-global
+// (per-query backend mixing is not supported — results are bit-identical
+// across backends, so mixing could never change an answer, only confuse
+// perf attribution).
 
 #pragma once
 
@@ -61,9 +64,10 @@ enum class Backend : uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 /// always non-null. `coords` buffers passed to filter kernels hold exactly
 /// 64 decoded dimension coordinates (one bitmap word's worth; the executor
 /// only takes this path for dense words, which never overlap a brick's
-/// ragged tail). Fold kernels take 1 <= n <= 64 contiguous values — either
-/// a direct column slice (dense word) or a ctz-compressed gather buffer
-/// (sparse word).
+/// ragged tail). Per-word fold kernels take 1 <= n <= 64 contiguous values
+/// — a direct double column slice (dense word) or a ctz-compressed gather
+/// buffer (sparse word); dense runs of an int column go through
+/// fold_int_run at the column's stored width.
 struct Kernels {
   Backend backend;
 
@@ -78,6 +82,13 @@ struct Kernels {
   /// Wrapping-uint64 sum plus int64 min/max of v[0..n). n >= 1.
   void (*fold_int64)(const int64_t* v, size_t n, uint64_t* sum, int64_t* min,
                      int64_t* max);
+  /// Folds a run of k >= 1 dense words of an int column stored at `width`
+  /// bytes (1, 2, 4 or 8; two's complement): the 64 * k contiguous values
+  /// at v. Writes word i's wrapping-uint64 sum of the sign-extended values
+  /// to word_sums[i] — exactly fold_int64 over the word's widened values —
+  /// and the whole run's int64 min/max to *min/*max.
+  void (*fold_int_run)(const void* v, unsigned width, size_t k,
+                       uint64_t* word_sums, int64_t* min, int64_t* max);
   /// Pinned-order double sum (see the fold-order contract above) plus
   /// MINPD/MAXPD-semantics min/max of v[0..n). n >= 1.
   void (*fold_double)(const double* v, size_t n, double* sum, double* min,

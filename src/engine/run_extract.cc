@@ -31,8 +31,9 @@ ExtractedBrick ExtractBrickRuns(const Brick& brick,
           batch.metric_doubles[m].assign(col.doubles().begin() + run.begin,
                                          col.doubles().begin() + run.end);
         } else {
-          batch.metric_ints[m].assign(col.ints().begin() + run.begin,
-                                      col.ints().begin() + run.end);
+          batch.metric_ints[m].resize(batch.num_rows);
+          col.ints().Widen(run.begin, batch.num_rows,
+                           batch.metric_ints[m].data());
         }
       }
     }

@@ -186,8 +186,8 @@ Result<FlushRoundStats> FlushManager::FlushRound(Table* table,
                                      col.doubles().begin() + run.end);
           writer.WriteVector(values);
         } else {
-          std::vector<int64_t> values(col.ints().begin() + run.begin,
-                                      col.ints().begin() + run.end);
+          std::vector<int64_t> values(n);  // int64 frames at any width
+          col.ints().Widen(run.begin, n, values.data());
           writer.WriteVector(values);
         }
       }

@@ -76,13 +76,20 @@ const ScanInstruments& Instruments() {
 /// zero), so dense fast paths never read past num_records.
 constexpr uint64_t kDenseWord = ~0ULL;
 
+/// Dense words per fold_int_run call: the ungrouped fold's word_sums
+/// buffer. Longer dense runs fold in consecutive calls.
+constexpr size_t kRunWords = 64;
+
 /// One aggregate's metric read path, resolved once per brick. Both fold
-/// passes branch on is_count/is_double once per WORD and then read the
-/// typed pointer directly, never once per row.
+/// passes branch on is_count/is_double once per word (or dense run), never
+/// once per row. Int columns are read at their stored width through the
+/// view: the ungrouped fold runs dense runs through fold_int_run and
+/// gathers sparse words into an int64 buffer; the grouped fold widen-loads
+/// each word's values straight into doubles.
 struct MetricAccessor {
   bool is_count = false;
   bool is_double = false;
-  const int64_t* ints = nullptr;
+  IntColumnView ints;
   const double* doubles = nullptr;
 };
 
@@ -97,7 +104,7 @@ std::vector<MetricAccessor> ResolveAccessors(const Brick& brick,
     } else {
       const MetricColumn& col = brick.metric(agg.metric);
       acc.is_double = col.type() == DataType::kDouble;
-      acc.ints = col.ints().data();
+      acc.ints = col.ints();
       acc.doubles = col.doubles().data();
     }
     accessors.push_back(acc);
@@ -463,13 +470,15 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
   filter_span.Finish();
 
   // Aggregation pass, word-wise over the final mask. Ungrouped folds run
-  // through the per-word typed SIMD kernels: the is_count/is_double dispatch
-  // happens once per word (not once per row), dense words fold a direct
-  // column slice, sparse words ctz-compress the visible rows' values into a
-  // gather buffer (pure data movement, identical on every backend) and fold
-  // that. The fold order is the pinned contract in common/simd.h, so result
-  // bits are identical whichever backend runs — proved by
-  // tests/simd_kernel_test.cc.
+  // through the typed SIMD kernels: the is_count/is_double dispatch happens
+  // once per word or dense run (not once per row). A maximal run of dense
+  // words folds an int column at its stored width through fold_int_run
+  // (per-word sums, one min/max reduce per run) and a double column word by
+  // word through fold_double; sparse words ctz-compress the visible rows'
+  // values into a gather buffer (pure data movement, identical on every
+  // backend) and fold that. The fold order is the pinned contract in
+  // common/simd.h, so result bits are identical whichever backend runs —
+  // proved by tests/simd_kernel_test.cc.
   obs::ObsSpan agg_span("query.aggregate", ins.agg_us);
   const std::vector<MetricAccessor> accessors = ResolveAccessors(brick, query);
   const size_t num_words = mask->num_words();
@@ -487,20 +496,75 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
     size_t rows[64];
     int64_t ibuf[64];
     double dbuf[64];
-    for (size_t w = 0; w < num_words; ++w) {
+    uint64_t word_sums[kRunWords];
+    // Folds one word's (or dense run's) int sums, in word order: each exact
+    // wrapping word sum converts to double exactly once.
+    const auto fold_int_sums = [](AggState& st, const uint64_t* sums,
+                                  size_t num_sums, uint64_t num_rows,
+                                  int64_t mn, int64_t mx) {
+      for (size_t i = 0; i < num_sums; ++i) {
+        st.sum += static_cast<double>(static_cast<int64_t>(sums[i]));
+      }
+      st.count += num_rows;
+      const double mnd = static_cast<double>(mn);
+      const double mxd = static_cast<double>(mx);
+      if (mnd < st.min) st.min = mnd;
+      if (mxd > st.max) st.max = mxd;
+    };
+    const auto fold_double_word = [&kern](AggState& st, const double* v,
+                                          uint64_t n) {
+      double s, mn, mx;
+      kern.fold_double(v, n, &s, &mn, &mx);
+      st.sum += s;
+      st.count += n;
+      if (mn < st.min) st.min = mn;
+      if (mx > st.max) st.max = mx;
+    };
+    for (size_t w = 0; w < num_words;) {
       const uint64_t word = mask->Word(w);
       if (word == 0) {
         ++words_skipped;
+        ++w;
         continue;
       }
       const size_t base = w * 64;
+      if (word == kDenseWord) {
+        // A run of up to kRunWords dense words.
+        size_t end = w + 1;
+        while (end < num_words && end - w < kRunWords &&
+               mask->Word(end) == kDenseWord) {
+          ++end;
+        }
+        const size_t k = end - w;
+        const uint64_t run_rows = 64 * k;
+        rows_aggregated += run_rows;
+        words_dense += k;
+        for (size_t a = 0; a < accessors.size(); ++a) {
+          const MetricAccessor& acc = accessors[a];
+          AggState& st = locals[a];
+          if (acc.is_count) {
+            // COUNT needs no row values; the sum stays an exact integer.
+            st.AccumulateRepeated(1.0, run_rows);
+          } else if (acc.is_double) {
+            for (size_t i = 0; i < k; ++i) {
+              fold_double_word(st, acc.doubles + base + 64 * i, 64);
+            }
+          } else {
+            int64_t mn, mx;
+            kern.fold_int_run(acc.ints.At(base), acc.ints.width, k, word_sums,
+                              &mn, &mx);
+            fold_int_sums(st, word_sums, k, run_rows, mn, mx);
+          }
+        }
+        if (need_values) (simd_active ? words_simd : words_fallback) += k;
+        w = end;
+        continue;
+      }
       const auto word_rows =
           static_cast<uint64_t>(__builtin_popcountll(word));
       rows_aggregated += word_rows;
-      const bool dense = word == kDenseWord;
-      if (dense) ++words_dense;
       size_t num_rows = 0;
-      if (need_values && !dense) {
+      if (need_values) {
         // Compress the visible row indexes once; every accessor gathers
         // from the same list.
         uint64_t bits = word;
@@ -517,40 +581,18 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
           // COUNT needs no row values: one popcount per word.
           st.AccumulateRepeated(1.0, word_rows);
         } else if (acc.is_double) {
-          const double* v;
-          if (dense) {
-            v = acc.doubles + base;
-          } else {
-            for (size_t i = 0; i < num_rows; ++i) dbuf[i] = acc.doubles[rows[i]];
-            v = dbuf;
-          }
-          double s, mn, mx;
-          kern.fold_double(v, word_rows, &s, &mn, &mx);
-          st.sum += s;
-          st.count += word_rows;
-          if (mn < st.min) st.min = mn;
-          if (mx > st.max) st.max = mx;
+          for (size_t i = 0; i < num_rows; ++i) dbuf[i] = acc.doubles[rows[i]];
+          fold_double_word(st, dbuf, word_rows);
         } else {
-          const int64_t* v;
-          if (dense) {
-            v = acc.ints + base;
-          } else {
-            for (size_t i = 0; i < num_rows; ++i) ibuf[i] = acc.ints[rows[i]];
-            v = ibuf;
-          }
+          acc.ints.Gather(rows, num_rows, ibuf);
           uint64_t s;
           int64_t mn, mx;
-          kern.fold_int64(v, word_rows, &s, &mn, &mx);
-          // The exact wrapping word sum converts to double exactly once.
-          st.sum += static_cast<double>(static_cast<int64_t>(s));
-          st.count += word_rows;
-          const double mnd = static_cast<double>(mn);
-          const double mxd = static_cast<double>(mx);
-          if (mnd < st.min) st.min = mnd;
-          if (mxd > st.max) st.max = mxd;
+          kern.fold_int64(ibuf, word_rows, &s, &mn, &mx);
+          fold_int_sums(st, &s, 1, word_rows, mn, mx);
         }
       }
       if (need_values) ++(simd_active ? words_simd : words_fallback);
+      ++w;
     }
     if (rows_aggregated > 0) {
       result->MergeGroup(QueryResult::GroupKey(), locals.data());
@@ -620,14 +662,19 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
           v = acc.doubles + base;
         } else if (acc.is_double) {
           for (size_t i = 0; i < n; ++i) vals[i] = acc.doubles[rows[i]];
-        } else if (dense) {
-          for (size_t i = 0; i < 64; ++i) {
-            vals[i] = static_cast<double>(acc.ints[base + i]);
-          }
         } else {
-          for (size_t i = 0; i < n; ++i) {
-            vals[i] = static_cast<double>(acc.ints[rows[i]]);
-          }
+          // Widen-load at the stored width: one width dispatch per word.
+          acc.ints.Visit([&](const auto* iv) {
+            if (dense) {
+              for (size_t i = 0; i < 64; ++i) {
+                vals[i] = static_cast<double>(iv[base + i]);
+              }
+            } else {
+              for (size_t i = 0; i < n; ++i) {
+                vals[i] = static_cast<double>(iv[rows[i]]);
+              }
+            }
+          });
         }
         // Runs of rows sharing a slot fold in a register copy of its state;
         // the adds are the same, in the same order, as folding in place.

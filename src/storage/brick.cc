@@ -39,7 +39,7 @@ void Brick::AppendBatch(aosi::Epoch epoch, const EncodedBatch& batch) {
       for (double v : batch.metric_doubles[m]) metrics_[m].AppendDouble(v);
     } else {
       CUBRICK_CHECK(batch.metric_ints[m].size() == batch.num_rows);
-      for (int64_t v : batch.metric_ints[m]) metrics_[m].AppendInt64(v);
+      metrics_[m].AppendInts(batch.metric_ints[m].data(), batch.num_rows);
     }
   }
   history_.RecordAppend(epoch, batch.num_rows);

@@ -104,7 +104,7 @@ QueryResult ReferenceScan(Table& table, const aosi::Snapshot& snapshot,
           const MetricColumn& col = brick.metric(agg.metric);
           value = col.type() == DataType::kDouble
                       ? col.doubles()[row]
-                      : static_cast<double>(col.ints()[row]);
+                      : static_cast<double>(col.GetInt64(row));
         }
         partial.Accumulate(key, a, value);
       }

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -77,6 +78,7 @@ TEST(SimdDispatchTest, DetectIsSupportedAndTablesAreComplete) {
     EXPECT_NE(k.filter_range, nullptr);
     EXPECT_NE(k.filter_in, nullptr);
     EXPECT_NE(k.fold_int64, nullptr);
+    EXPECT_NE(k.fold_int_run, nullptr);
     EXPECT_NE(k.fold_double, nullptr);
     EXPECT_NE(k.and_words, nullptr);
     EXPECT_NE(k.or_words, nullptr);
@@ -210,6 +212,104 @@ TEST(SimdKernelTest, FoldInt64MatchesScalarFuzzAllLengths) {
         ASSERT_EQ(s, rs) << simd::BackendName(b) << " n=" << n;
         ASSERT_EQ(mn, rmin) << simd::BackendName(b) << " n=" << n;
         ASSERT_EQ(mx, rmax) << simd::BackendName(b) << " n=" << n;
+      }
+    }
+  }
+}
+
+// Values of one stored width, generated as int64 and narrowed exactly.
+template <typename T>
+std::vector<T> Narrow(const std::vector<int64_t>& wide) {
+  std::vector<T> out;
+  out.reserve(wide.size());
+  for (int64_t x : wide) out.push_back(static_cast<T>(x));
+  return out;
+}
+
+// The run kernel against fold_int64 over the widened values: for every
+// stored width, every backend, runs of 1..8 words and of 256 words, word i's
+// sum equals the per-word fold_int64 sum and the run's min/max equal the
+// words' min/max. Values mix random in-range draws with each width's limits
+// (whole words at the minimum and at the maximum), and at width 8 words of
+// values near INT64_MAX whose sum wraps.
+TEST(SimdKernelTest, FoldIntRunMatchesFoldInt64AllWidths) {
+  const auto backends = SupportedBackends();
+  const simd::Kernels& ref = simd::KernelsFor(simd::Backend::kScalar);
+  Random rng(0x12a9);
+  for (unsigned width : {1u, 2u, 4u, 8u}) {
+    const int64_t hi = width == 8 ? std::numeric_limits<int64_t>::max()
+                                  : (int64_t{1} << (8 * width - 1)) - 1;
+    const int64_t lo = -hi - 1;
+    for (size_t k : {1, 2, 3, 4, 5, 6, 7, 8, 256}) {
+      // One spare value in front, so the run also starts unaligned.
+      std::vector<int64_t> wide(1 + 64 * k);
+      for (auto& x : wide) {
+        switch (rng.Uniform(4)) {
+          case 0:
+            x = rng.UniformRange(-100, 100);
+            break;
+          case 1:
+            x = hi - static_cast<int64_t>(rng.Uniform(3));
+            break;
+          case 2:
+            x = lo + static_cast<int64_t>(rng.Uniform(3));
+            break;
+          default:
+            x = width == 8 ? static_cast<int64_t>(rng.Next())
+                           : rng.UniformRange(lo, hi);
+            break;
+        }
+      }
+      if (k >= 3) {
+        std::fill(wide.begin() + 1, wide.begin() + 65, lo);
+        std::fill(wide.begin() + 65, wide.begin() + 129, hi);
+      }
+      std::vector<uint64_t> want_sums(k);
+      int64_t want_min = std::numeric_limits<int64_t>::max();
+      int64_t want_max = std::numeric_limits<int64_t>::min();
+      for (size_t w = 0; w < k; ++w) {
+        int64_t mn, mx;
+        ref.fold_int64(wide.data() + 1 + 64 * w, 64, &want_sums[w], &mn, &mx);
+        want_min = std::min(want_min, mn);
+        want_max = std::max(want_max, mx);
+      }
+      if (width == 8 && k >= 3) {
+        // The all-INT64_MAX word wraps: 64 * (2^63 - 1) mod 2^64 = -64.
+        EXPECT_EQ(want_sums[1], static_cast<uint64_t>(-64));
+      }
+      std::vector<int8_t> v8;
+      std::vector<int16_t> v16;
+      std::vector<int32_t> v32;
+      const void* data = wide.data();
+      switch (width) {
+        case 1:
+          v8 = Narrow<int8_t>(wide);
+          data = v8.data();
+          break;
+        case 2:
+          v16 = Narrow<int16_t>(wide);
+          data = v16.data();
+          break;
+        case 4:
+          v32 = Narrow<int32_t>(wide);
+          data = v32.data();
+          break;
+        default:
+          break;
+      }
+      const void* run = static_cast<const char*>(data) + width;
+      for (simd::Backend b : backends) {
+        std::vector<uint64_t> sums(k, 0xdeadbeef);
+        int64_t mn = 0, mx = 0;
+        simd::KernelsFor(b).fold_int_run(run, width, k, sums.data(), &mn, &mx);
+        for (size_t w = 0; w < k; ++w) {
+          ASSERT_EQ(sums[w], want_sums[w]) << simd::BackendName(b) << " width "
+                                           << width << " k=" << k << " w=" << w;
+        }
+        ASSERT_EQ(mn, want_min) << simd::BackendName(b) << " width " << width
+                                << " k=" << k;
+        ASSERT_EQ(mx, want_max) << simd::BackendName(b) << " width " << width
+                                << " k=" << k;
       }
     }
   }
